@@ -7,8 +7,8 @@
 //   --seed=<uint64>     dataset RNG seed
 //   --mu=<double>       edge-weight parameter (paper App. D, default 10)
 //   --t=<int>           time horizon (paper default 20)
-//   --threads=<int>     RS sketch-builder threads (1 = legacy serial stream,
-//                       0 = one per hardware thread)
+//   --threads=<int>     RS sketch-builder threads (1 = inline, 0 = one per
+//                       hardware thread; never changes the answers)
 //   --csv               emit CSV instead of an aligned table
 // and prints the same rows/series the corresponding paper exhibit reports.
 #ifndef VOTEOPT_BENCH_BENCH_COMMON_H_

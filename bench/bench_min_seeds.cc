@@ -55,8 +55,11 @@ int main(int argc, char** argv) {
       const auto result = core::MinSeedsToWin(
           ev, selector,
           static_cast<uint32_t>(options.GetInt("k_max", 0)));
-      row.push_back(result.achievable ? std::to_string(result.k_star)
-                                      : ">" + std::to_string(result.k_star));
+      // Appended, not ">" + to_string: GCC 12 misreports that as
+      // -Wrestrict.
+      std::string cell = result.achievable ? "" : ">";
+      cell += std::to_string(result.k_star);
+      row.push_back(cell);
     }
     table.AddRow(row);
   }

@@ -1,6 +1,5 @@
 // Serve-layer benchmark: throughput and latency of the concurrent
-// api::Engine (the dispatch path behind CampaignService and the wire
-// protocol) at 1..N worker threads over one hosted dataset.
+// api::Engine (the dispatch path behind the wire protocol) at 1..N worker threads over one hosted dataset.
 //
 // An offline pass builds + persists the sketch once; each measured
 // configuration then opens a fresh engine over the persisted store (mmap)
@@ -67,7 +66,9 @@ std::vector<api::Request> MakeBatch(size_t queries, uint32_t k,
   batch.reserve(queries);
   for (size_t i = 0; i < queries; ++i) {
     api::Request request;
-    request.id = "q" + std::to_string(i);
+    // Appended, not "q" + to_string: GCC 12 misreports that as -Wrestrict.
+    request.id = "q";
+    request.id += std::to_string(i);
     if (i % 4 == 0) {
       request.op = api::Request::Op::kTopK;
       request.k = k;
@@ -450,7 +451,7 @@ int main(int argc, char** argv) {
               row.answers_match ? "yes" : "NO");
   }
   Emit(env,
-       "Serve: concurrent CampaignService throughput/latency (theta=" +
+       "Serve: concurrent api::Engine throughput/latency (theta=" +
            std::to_string(theta) + ", " + std::to_string(queries) +
            " queries, k=" + std::to_string(k) + ", offline build " +
            Table::Num(build_sec, 2) + " s)",

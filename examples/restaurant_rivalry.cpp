@@ -61,6 +61,12 @@ int main(int argc, char** argv) {
   // Sweep the approval depth p: "how many memberships does a user hold?"
   Table table({"objective", "users approving w/o seeds",
                "users approving w/ seeds", "gain"});
+  // Appended, not "+" + Num(...): GCC 12 misreports that as -Wrestrict.
+  const auto gain_cell = [](double gain, int precision) {
+    std::string cell = "+";
+    cell += Table::Num(gain, precision);
+    return cell;
+  };
   for (uint32_t p : {1u, 2u, 3u}) {
     const voting::ScoreSpec spec = p == 1 ? voting::ScoreSpec::Plurality()
                                           : voting::ScoreSpec::PApproval(p);
@@ -70,7 +76,7 @@ int main(int argc, char** argv) {
                            std::to_string(p) + ")",
               Table::Num(baseline.score, 0),
               Table::Num(selected.exact_score, 0),
-              "+" + Table::Num(selected.exact_score - baseline.score, 0));
+              gain_cell(selected.exact_score - baseline.score, 0));
   }
   // Positional: a rank-2 membership is worth half a rank-1 one.
   {
@@ -79,7 +85,7 @@ int main(int argc, char** argv) {
     table.Add("positional-2-approval (1.0, 0.5)",
               Table::Num(baseline.score, 1),
               Table::Num(selected.exact_score, 1),
-              "+" + Table::Num(selected.exact_score - baseline.score, 1));
+              gain_cell(selected.exact_score - baseline.score, 1));
     std::cout << "Sandwich diagnostics for the positional objective: "
               << "F(SU)/UB(SU) = "
               << selected.diagnostics.at("sandwich_ratio") << " (empirical "

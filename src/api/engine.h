@@ -1,6 +1,6 @@
 // api::Engine: the single query-dispatch component. Every front door —
-// the JSON wire protocol (serve::CampaignService is a thin transport shim),
-// the voteopt_serve CLI, the examples, and the bench drivers — funnels
+// the JSON wire protocol (serve/ is a pure codec over it), the
+// voteopt_serve CLI, the examples, and the bench drivers — funnels
 // typed api::Requests into Engine::Execute, so an embedded C++ answer and
 // a served answer are the same bytes by construction, not by parallel
 // maintenance of two code paths.

@@ -75,6 +75,11 @@ Status BuildSketchInline(DatasetEntry* entry, uint64_t theta, uint32_t horizon,
                          uint64_t block_budget_bytes = 0,
                          const std::string& ooc_scratch_prefix = "",
                          obs::Registry* metrics = nullptr) {
+  if (rng_seed == 0) {
+    // SketchMeta reads master_seed 0 as "unknown provenance", and a sketch
+    // with no replayable walk streams cannot be repaired after a mutation.
+    return Status::InvalidArgument("rng_seed must be nonzero");
+  }
   if (target >= entry->dataset.state.num_candidates()) {
     return Status::InvalidArgument(
         "target candidate " + std::to_string(target) +

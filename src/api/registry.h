@@ -67,6 +67,7 @@ struct DatasetLoadOptions {
   bool save_built_sketch = false;
   /// Sketch-builder threads (0 = one per hardware thread).
   uint32_t build_threads = 0;
+  /// Master seed of a built sketch's walk streams; must be nonzero.
   uint64_t rng_seed = 42;
 
   /// When > 0, a build fallback runs OUT OF CORE: the graph is partitioned
@@ -138,6 +139,7 @@ struct HostOptions {
   std::optional<uint32_t> target;
   /// Sketch-builder threads (0 = one per hardware thread).
   uint32_t num_threads = 0;
+  /// Master seed of the sketch's walk streams; must be nonzero.
   uint64_t rng_seed = 42;
 
   /// When > 0, the inline build runs out of core under this per-block
@@ -160,7 +162,7 @@ class DatasetRegistry {
       const std::string& name, const DatasetLoadOptions& options);
 
   /// Publishes a dataset the caller already holds in memory: builds the
-  /// sketch inline (sharded builder, deterministic in `rng_seed` and
+  /// sketch inline (seeded builder, deterministic in `rng_seed` and
   /// independent of `num_threads`) and hosts it under `name` without
   /// touching disk — the embedded-caller analog of Load. The entry is
   /// indistinguishable from a loaded one to every query path.

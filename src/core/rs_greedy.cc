@@ -6,6 +6,7 @@
 #include "core/accuracy.h"
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace voteopt::core {
@@ -14,7 +15,6 @@ SelectionResult RSGreedySelect(const ScoreEvaluator& evaluator, uint32_t k,
                                const RSOptions& options) {
   WallTimer timer;
   const uint32_t n = evaluator.num_users();
-  Rng rng(options.rng_seed);
 
   uint64_t theta = options.theta_override;
   double opt_lb = 0.0;
@@ -23,7 +23,7 @@ SelectionResult RSGreedySelect(const ScoreEvaluator& evaluator, uint32_t k,
       opt_lb = CumulativeOptLowerBound(evaluator, k);
       if (options.refine_opt_bound) {
         opt_lb = RefineOptLowerBound(evaluator, k, options.epsilon, opt_lb,
-                                     &rng);
+                                     options.rng_seed);
       }
       theta = static_cast<uint64_t>(std::ceil(
           ThetaForCumulative(n, k, options.epsilon, options.l, opt_lb)));
@@ -36,18 +36,13 @@ SelectionResult RSGreedySelect(const ScoreEvaluator& evaluator, uint32_t k,
     theta = std::clamp<uint64_t>(theta, 1, options.theta_cap);
   }
 
-  // Every thread count goes through the sharded fixed-block builder: its
-  // output is a pure function of (master_seed, theta, block_size), so the
-  // sketch — and with it the selected seeds — is identical whether the
-  // blocks are generated inline or on a pool. (A previous num_threads == 1
-  // special case used the legacy serial stream instead, which drew walks
-  // from a different RNG sequence and made --threads=1 answers diverge
-  // from --threads=N; tests/core_sketch_parallel_test.cc pins the
-  // invariance.)
-  SketchBuildOptions build_options;
-  build_options.num_threads = options.num_threads;
+  // The sketch is a pure function of (master_seed, theta), so it — and with
+  // it the selected seeds — is identical whether the walks are generated
+  // inline or on a pool; tests/core_sketch_parallel_test.cc pins the
+  // invariance.
   std::unique_ptr<WalkSet> walks =
-      BuildSketchSet(evaluator, theta, rng.Next(), build_options);
+      BuildSketchSet(evaluator, theta, Rng(options.rng_seed).Next(),
+                     {.num_threads = options.num_threads});
   EstimatedGreedyOptions greedy_options;
   greedy_options.num_threads = options.num_threads;
   SelectionResult result =

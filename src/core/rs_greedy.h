@@ -29,8 +29,8 @@ struct RSOptions {
   /// Worker threads for sketch construction AND the per-iteration gain
   /// scan of the rank-sensitive / Copeland selection paths: 0 = one per
   /// hardware thread, N = exactly N workers (1 runs inline). All counts go
-  /// through the sharded fixed-block builder and the deterministic chunked
-  /// scan, so seeds and scores are identical for every value.
+  /// through the seeded sketch builder and the deterministic chunked scan,
+  /// so seeds and scores are identical for every value.
   uint32_t num_threads = 1;
 };
 

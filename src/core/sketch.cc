@@ -6,7 +6,6 @@
 #include "core/estimated_greedy.h"
 #include "core/walk_engine.h"
 #include "graph/alias_table.h"
-#include "util/thread_pool.h"
 
 namespace voteopt::core {
 
@@ -18,61 +17,17 @@ void ApplySketchWeights(WalkSet* walks, uint32_t n, uint64_t theta) {
 }
 
 std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
-                                        uint64_t theta, Rng* rng) {
-  const graph::Graph& g = evaluator.model().graph();
-  const uint32_t n = g.num_nodes();
-  graph::AliasSampler alias(g);
-  WalkEngine engine(g, evaluator.target_campaign(), alias);
-
-  auto walks = std::make_unique<WalkSet>(n);
-  std::vector<graph::NodeId> scratch;
-  for (uint64_t j = 0; j < theta; ++j) {
-    const graph::NodeId start = static_cast<graph::NodeId>(rng->UniformInt(n));
-    engine.Generate(start, evaluator.horizon(), rng, &scratch);
-    walks->AddWalk(scratch);
-  }
-  walks->Finalize(evaluator.target_campaign().initial_opinions);
-  ApplySketchWeights(walks.get(), n, theta);
-  return walks;
-}
-
-std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
                                         uint64_t theta, uint64_t master_seed,
                                         const SketchBuildOptions& options) {
   const graph::Graph& g = evaluator.model().graph();
   const uint32_t n = g.num_nodes();
   graph::AliasSampler alias(g);
   const WalkEngine engine(g, evaluator.target_campaign(), alias);
-  const uint32_t horizon = evaluator.horizon();
-
-  const uint64_t block_size = std::max<uint64_t>(1, options.block_size);
-  const uint64_t num_blocks = (theta + block_size - 1) / block_size;
-  std::vector<WalkBuffer> buffers(num_blocks);
-  auto run_block = [&](uint64_t b) {
-    const uint64_t begin = b * block_size;
-    const uint64_t count = std::min(block_size, theta - begin);
-    buffers[b].nodes.reserve(count * (horizon / 4 + 1));
-    engine.GenerateSeeded(begin, count, horizon, master_seed, &buffers[b]);
-  };
-
-  uint32_t threads = options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                              : options.num_threads;
-  threads = static_cast<uint32_t>(
-      std::min<uint64_t>(threads, std::max<uint64_t>(num_blocks, 1)));
-  if (threads <= 1) {
-    for (uint64_t b = 0; b < num_blocks; ++b) run_block(b);
-  } else {
-    ThreadPool pool(threads);
-    std::vector<std::future<void>> done;
-    done.reserve(num_blocks);
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-      done.push_back(pool.Submit([&run_block, b] { run_block(b); }));
-    }
-    for (auto& f : done) f.get();
-  }
+  const std::vector<WalkBuffer> chunks = GenerateWalks(
+      engine, evaluator.horizon(), master_seed, theta, options.num_threads);
 
   auto walks = std::make_unique<WalkSet>(n);
-  for (const WalkBuffer& buffer : buffers) walks->AddWalks(buffer);
+  for (const WalkBuffer& chunk : chunks) walks->AddWalks(chunk);
   walks->Finalize(evaluator.target_campaign().initial_opinions);
   ApplySketchWeights(walks.get(), n, theta);
   return walks;
@@ -86,7 +41,8 @@ double CumulativeOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k) {
 }
 
 double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
-                           double epsilon, double fallback, Rng* rng) {
+                           double epsilon, double fallback,
+                           uint64_t master_seed) {
   const uint32_t n = evaluator.num_users();
   double x = static_cast<double>(n) / 2.0;
   // Cheap per-test sketch budget; grows as the tested bound shrinks, as in
@@ -97,7 +53,8 @@ double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
             (2.0 + 2.0 / 3.0 * epsilon) * static_cast<double>(n) *
             std::log(static_cast<double>(n)) / (epsilon * epsilon * x))),
         4ull * n);
-    auto walks = BuildSketchSet(evaluator, theta, rng);
+    auto walks =
+        BuildSketchSet(evaluator, theta, master_seed, {.num_threads = 1});
     EstimatedGreedyOptions opts;
     opts.evaluate_exact = false;  // the test uses the estimate only
     SelectionResult est = EstimatedGreedySelect(evaluator, k, walks.get(), opts);
@@ -118,8 +75,8 @@ uint64_t EstimateThetaByConvergence(const ScoreEvaluator& evaluator,
   uint64_t last_stable = 0;
   int stable_rounds = 0;
   while (theta <= theta_cap) {
-    Rng rng(rng_seed);
-    auto walks = BuildSketchSet(evaluator, theta, &rng);
+    auto walks =
+        BuildSketchSet(evaluator, theta, rng_seed, {.num_threads = 1});
     const SelectionResult result =
         EstimatedGreedySelect(evaluator, k, walks.get());
     if (previous >= 0.0) {

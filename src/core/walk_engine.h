@@ -10,6 +10,7 @@
 #define VOTEOPT_CORE_WALK_ENGINE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/walk_set.h"
@@ -20,8 +21,8 @@
 
 namespace voteopt::core {
 
-/// The per-walk RNG stream of the sharded (and out-of-core) sketch
-/// builders: walk `walk_index` of a sketch keyed by `master_seed` draws
+/// The per-walk RNG stream of every sketch builder (in-memory and
+/// out-of-core): walk `walk_index` of a sketch keyed by `master_seed` draws
 /// every random number — its start node and every transition — from
 /// Rng(master_seed + (walk_index + 1) * golden-ratio). The Rng constructor
 /// runs the seed through splitmix64, which decorrelates consecutive walk
@@ -31,6 +32,27 @@ namespace voteopt::core {
 /// of an in-memory build.
 inline Rng SketchWalkRng(uint64_t master_seed, uint64_t walk_index) {
   return Rng(master_seed + (walk_index + 1) * 0x9E3779B97F4A7C15ULL);
+}
+
+/// WalkStep's stop sentinel: the walk ends at its current node.
+inline constexpr graph::NodeId kWalkStops = graph::AliasSampler::kNoNeighbor;
+
+/// One transition of a reverse walk — the only definition of the step
+/// that every walk generator (WalkEngine's and the out-of-core scheduler's)
+/// calls, so their RNG consumption is identical by construction. At
+/// `current` the walk is absorbed with probability d =
+/// stubbornness[current] (one Uniform draw, skipped when d >= 1 or d <= 0);
+/// otherwise it moves to an in-neighbor drawn from `sampler`'s row
+/// current - row_base (0 for the full-graph AliasSampler, the block's first
+/// node for a block-local AliasSlice). Returns the next node, or kWalkStops
+/// when absorbed or when the row has no in-edges.
+template <typename Sampler>
+inline graph::NodeId WalkStep(const opinion::Campaign& campaign,
+                              const Sampler& sampler, graph::NodeId current,
+                              graph::NodeId row_base, Rng* rng) {
+  const double d = campaign.stubbornness[current];
+  if (d >= 1.0 || (d > 0.0 && rng->Uniform() < d)) return kWalkStops;
+  return sampler.SampleInNeighbor(current - row_base, rng);
 }
 
 class WalkEngine {
@@ -47,24 +69,14 @@ class WalkEngine {
   void Generate(graph::NodeId start, uint32_t horizon, Rng* rng,
                 std::vector<graph::NodeId>* out) const;
 
-  /// Generates `count` empty-seed-set walks from uniformly sampled starts,
-  /// appending them to `out`. Per walk, `rng` is consumed exactly as the
-  /// UniformInt(start) + Generate sequence would be, so a batch is a
-  /// self-contained RNG block: the output depends only on `rng`'s state at
-  /// entry. The engine is stateless, so concurrent calls on distinct
-  /// (rng, out) pairs are safe — this is the unit of work the parallel
-  /// sketch builder shards across a thread pool.
-  void GenerateBatch(uint64_t count, uint32_t horizon, Rng* rng,
-                     WalkBuffer* out) const;
-
   /// Generates walks `first_walk .. first_walk + count - 1` of the sketch
   /// keyed by `master_seed`, appending them to `out`. Walk j draws its
   /// start (UniformInt(n)) and its whole trajectory from
   /// SketchWalkRng(master_seed, j) — per-walk independent streams — so the
   /// output depends only on (master_seed, first_walk, count, horizon),
-  /// never on batching or scheduling. This is the unit of work of BOTH the
-  /// in-memory sharded builder and the out-of-core block engine; their
-  /// bit-identity rests on sharing this walk definition.
+  /// never on batching or scheduling. This is the in-memory scheduler's
+  /// unit of work; the out-of-core scheduler replays the same definition
+  /// one WalkStep at a time, which is what their bit-identity rests on.
   void GenerateSeeded(uint64_t first_walk, uint64_t count, uint32_t horizon,
                       uint64_t master_seed, WalkBuffer* out) const;
 
@@ -75,10 +87,8 @@ class WalkEngine {
                            const std::vector<bool>& is_seed, Rng* rng) const;
 
  private:
-  /// The shared per-step dynamics: appends the walk's nodes after `start`
-  /// to *nodes (start itself is the caller's). Both Generate entry points
-  /// route through this, which is what guarantees their RNG-consumption
-  /// parity.
+  /// Appends the walk's nodes after `start` to *nodes (start itself is
+  /// the caller's): WalkStep until it stops or `horizon` steps are taken.
   void Extend(graph::NodeId start, uint32_t horizon, Rng* rng,
               std::vector<graph::NodeId>* nodes) const;
 
@@ -86,6 +96,21 @@ class WalkEngine {
   const opinion::Campaign* campaign_;
   const graph::AliasSampler* alias_;
 };
+
+/// The in-memory walk scheduler: generates, in order, walks 0 .. count-1
+/// (a full build) or the walks `walk_indices` (a repair's dirty list) of
+/// the sketch keyed by `master_seed`, and returns them as consecutive
+/// chunks — concatenated in order they are the walks in list order. Chunks
+/// run on `num_threads` workers (0 = one per hardware thread, 1 = inline)
+/// and are sized from the thread and walk counts; each walk draws only
+/// from its own SketchWalkRng stream, so neither ever changes the bytes.
+std::vector<WalkBuffer> GenerateWalks(const WalkEngine& engine,
+                                      uint32_t horizon, uint64_t master_seed,
+                                      uint64_t count, uint32_t num_threads);
+std::vector<WalkBuffer> GenerateWalks(const WalkEngine& engine,
+                                      uint32_t horizon, uint64_t master_seed,
+                                      std::span<const uint64_t> walk_indices,
+                                      uint32_t num_threads);
 
 }  // namespace voteopt::core
 

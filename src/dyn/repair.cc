@@ -1,7 +1,5 @@
 #include "dyn/repair.h"
 
-#include <algorithm>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -10,60 +8,8 @@
 #include "sketch_ooc/block_store.h"
 #include "sketch_ooc/ooc_builder.h"
 #include "sketch_ooc/partition.h"
-#include "util/thread_pool.h"
 
 namespace voteopt::dyn {
-namespace {
-
-/// Regenerates the listed walks against the patched in-memory graph,
-/// appending to `out` in list order. Chunk-parallel; each walk is its own
-/// RNG block (GenerateSeeded), so chunking never changes the bytes.
-void RegenerateWalksInMemory(const graph::Graph& patched,
-                             const opinion::Campaign& campaign,
-                             const graph::AliasSampler& alias,
-                             uint32_t horizon, uint64_t master_seed,
-                             std::span<const uint64_t> walk_indices,
-                             uint32_t num_threads, core::WalkBuffer* out) {
-  core::WalkEngine engine(patched, campaign, alias);
-  uint32_t threads =
-      num_threads == 0 ? ThreadPool::DefaultThreadCount() : num_threads;
-  threads = std::max<uint32_t>(threads, 1);
-  const size_t chunk_size =
-      threads > 1
-          ? std::max<size_t>(64, walk_indices.size() / (threads * 4) + 1)
-          : walk_indices.size();
-  const size_t num_chunks =
-      walk_indices.empty() ? 0 : (walk_indices.size() + chunk_size - 1) / chunk_size;
-
-  std::vector<core::WalkBuffer> buffers(num_chunks);
-  auto run_chunk = [&](size_t c) {
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(walk_indices.size(), begin + chunk_size);
-    for (size_t i = begin; i < end; ++i) {
-      engine.GenerateSeeded(walk_indices[i], 1, horizon, master_seed,
-                            &buffers[c]);
-    }
-  };
-  if (threads > 1 && num_chunks > 1) {
-    ThreadPool pool(threads);
-    std::vector<std::future<void>> done;
-    done.reserve(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      done.push_back(pool.Submit([&run_chunk, c] { run_chunk(c); }));
-    }
-    for (auto& f : done) f.get();
-  } else {
-    for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
-  }
-  // Merge in chunk order = walk-list order.
-  for (core::WalkBuffer& buf : buffers) {
-    out->nodes.insert(out->nodes.end(), buf.nodes.begin(), buf.nodes.end());
-    out->lengths.insert(out->lengths.end(), buf.lengths.begin(),
-                        buf.lengths.end());
-  }
-}
-
-}  // namespace
 
 Result<RepairOutcome> SketchRepairer::Repair(
     const core::WalkSet& base, const graph::Graph& patched,
@@ -77,7 +23,7 @@ Result<RepairOutcome> SketchRepairer::Repair(
   }
   if (meta.master_seed == 0) {
     return Status::FailedPrecondition(
-        "repair: sketch has no master seed (serial or unknown provenance); "
+        "repair: sketch has no master seed (unknown provenance); "
         "its walks cannot be replayed per-index");
   }
   if (meta.theta != base.num_walks()) {
@@ -148,9 +94,15 @@ Result<RepairOutcome> SketchRepairer::Repair(
               ? std::make_shared<const graph::AliasSampler>(patched, *base_alias,
                                                             dirty_nodes)
               : std::make_shared<const graph::AliasSampler>(patched);
-      RegenerateWalksInMemory(patched, campaign, *alias, meta.horizon,
-                              meta.master_seed, dirty_indices,
-                              options.num_threads, &regen);
+      const core::WalkEngine engine(patched, campaign, *alias);
+      for (const core::WalkBuffer& chunk :
+           core::GenerateWalks(engine, meta.horizon, meta.master_seed,
+                               dirty_indices, options.num_threads)) {
+        regen.nodes.insert(regen.nodes.end(), chunk.nodes.begin(),
+                           chunk.nodes.end());
+        regen.lengths.insert(regen.lengths.end(), chunk.lengths.begin(),
+                             chunk.lengths.end());
+      }
       outcome.alias = std::move(alias);
     }
   } else if (options.block_budget_bytes == 0 && base_alias != nullptr) {
@@ -166,11 +118,6 @@ Result<RepairOutcome> SketchRepairer::Repair(
   // exact construction sequence of both from-scratch builders, which is
   // what makes bit-identity hold by construction rather than by audit.
   const core::WalkSet::Frozen& frozen = base.frozen();
-  std::vector<uint64_t> regen_offsets(regen.lengths.size() + 1, 0);
-  for (size_t i = 0; i < regen.lengths.size(); ++i) {
-    regen_offsets[i + 1] = regen_offsets[i] + regen.lengths[i];
-  }
-
   core::WalkBuffer assembled;
   assembled.lengths.reserve(theta);
   uint64_t clean_nodes = 0;
@@ -179,23 +126,20 @@ Result<RepairOutcome> SketchRepairer::Repair(
   }
   assembled.nodes.reserve(clean_nodes + regen.nodes.size());
   size_t next_regen = 0;
+  uint64_t regen_begin = 0;
   for (uint64_t j = 0; j < theta; ++j) {
+    std::span<const graph::NodeId> walk;
     if (dirty_walk[j]) {
-      const uint64_t begin = regen_offsets[next_regen];
-      const uint64_t len = regen.lengths[next_regen];
-      assembled.nodes.insert(assembled.nodes.end(),
-                             regen.nodes.begin() + begin,
-                             regen.nodes.begin() + begin + len);
-      assembled.lengths.push_back(static_cast<uint32_t>(len));
-      ++next_regen;
+      const uint32_t len = regen.lengths[next_regen++];
+      walk = std::span<const graph::NodeId>(regen.nodes).subspan(regen_begin,
+                                                                 len);
+      regen_begin += len;
     } else {
-      const uint64_t begin = frozen.offsets[j];
-      const uint64_t len = frozen.offsets[j + 1] - begin;
-      assembled.nodes.insert(assembled.nodes.end(),
-                             frozen.nodes.begin() + begin,
-                             frozen.nodes.begin() + begin + len);
-      assembled.lengths.push_back(static_cast<uint32_t>(len));
+      walk = frozen.nodes.subspan(frozen.offsets[j],
+                                  frozen.offsets[j + 1] - frozen.offsets[j]);
     }
+    assembled.nodes.insert(assembled.nodes.end(), walk.begin(), walk.end());
+    assembled.lengths.push_back(static_cast<uint32_t>(walk.size()));
   }
 
   auto repaired = std::make_unique<core::WalkSet>(n);

@@ -75,8 +75,8 @@ class SketchRepairer {
   /// enables the row-level incremental alias rebuild and may be null
   /// (full rebuild of the tables, walks still repaired incrementally).
   ///
-  /// Fails with FailedPrecondition when meta.master_seed == 0 (a serial /
-  /// unknown-provenance sketch has no per-walk streams to replay).
+  /// Fails with FailedPrecondition when meta.master_seed == 0 (a sketch
+  /// file of unknown provenance has no per-walk streams to replay).
   static Result<RepairOutcome> Repair(const core::WalkSet& base,
                                       const graph::Graph& patched,
                                       const opinion::Campaign& campaign,

@@ -32,30 +32,29 @@ struct Moved {
 
 /// Advances one walk inside `block` until it terminates (absorbed, no
 /// in-edges, or horizon exhausted) or its head leaves the block's node
-/// range with steps remaining. Replicates core::WalkEngine::Extend's RNG
-/// consumption exactly: per step, the stubbornness draw (skipped when
-/// d >= 1), then AliasSlice sampling — one UniformInt + one Uniform when
-/// the row has in-edges, nothing when it does not.
-/// Returns true when the walk crossed (out->dest_block / out->task set).
+/// range with steps remaining. Each transition is core::WalkStep over the
+/// block-local AliasSlice — the step the in-memory generator takes over
+/// the full-graph AliasSampler — so the walk consumes its stream exactly as
+/// an in-memory build would. Returns true when the walk crossed
+/// (out->dest_block / out->task set).
 bool AdvanceInBlock(WalkTask task, const GraphBlock& block,
                     const opinion::Campaign& campaign,
                     const PartitionPlan& plan, graph::NodeId* slab_row,
                     uint32_t* length, Moved* out) {
   while (task.steps_left > 0) {
-    const double d = campaign.stubbornness[task.current];
-    if (d >= 1.0 || (d > 0.0 && task.rng.Uniform() < d)) return false;
-    const graph::NodeId next =
-        block.alias->SampleInNeighbor(task.current - block.lo, &task.rng);
-    if (next == graph::AliasSlice::kNoNeighbor) return false;
+    const graph::NodeId next = core::WalkStep(campaign, *block.alias,
+                                              task.current, block.lo,
+                                              &task.rng);
+    if (next == core::kWalkStops) return false;
     slab_row[(*length)++] = next;
     --task.steps_left;
     task.current = next;
-    if ((next < block.lo || next >= block.hi) && task.steps_left > 0) {
+    if (next < block.lo || next >= block.hi) {
+      if (task.steps_left == 0) return false;  // done anyway
       out->dest_block = plan.BlockOf(next);
       out->task = task;
       return true;
     }
-    if (next < block.lo || next >= block.hi) return false;  // done anyway
   }
   return false;
 }

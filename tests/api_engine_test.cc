@@ -1,8 +1,8 @@
 // The unified typed query API, pinned four ways:
 //  * engine equivalence — api::Engine answers TopK / MinSeed / Evaluate
-//    byte-identically to the PR-4 CampaignService surface across worker
-//    thread counts 1/2/4 (and to the direct core selection path), so the
-//    redesign provably changed the plumbing, not one answer;
+//    byte-identically to a 1-worker engine across worker thread counts
+//    1/2/4 (and to the direct core selection path), so the worker count
+//    changes the plumbing, not one answer;
 //  * the full nine-method roster is invocable through the engine AND
 //    through parsed wire requests (the protocol's "method" field);
 //  * the new MethodCompare / RuleSweep scenarios return one scored entry
@@ -18,7 +18,6 @@
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
 #include "serve/protocol.h"
-#include "serve/service.h"
 
 namespace voteopt::api {
 namespace {
@@ -68,7 +67,9 @@ class ApiEngineTest : public ::testing::Test {
     }
     batch.push_back(Request::TopK(0, voting::ScoreSpec::Cumulative()));
     for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].id = "q" + std::to_string(i);
+      // Appended, not "q" + to_string: GCC 12 misreports that as -Wrestrict.
+      batch[i].id = "q";
+      batch[i].id += std::to_string(i);
     }
     return batch;
   }
@@ -77,14 +78,14 @@ class ApiEngineTest : public ::testing::Test {
   datasets::Dataset dataset_;
 };
 
-TEST_F(ApiEngineTest, EngineEqualsServiceAcrossThreadCounts) {
+TEST_F(ApiEngineTest, AnswersIdenticalAcrossWorkerCounts) {
   const std::vector<Request> batch = Pr4Batch();
 
-  // Reference: the PR-4 serving surface on one worker.
-  auto reference = serve::CampaignService::Open(Options(1));
+  // Reference: a 1-worker engine.
+  auto reference = api::Engine::Open(Options(1));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   std::vector<std::string> expected;
-  for (const Response& response : (*reference)->HandleBatch(batch)) {
+  for (const Response& response : (*reference)->ExecuteBatch(batch)) {
     expected.push_back(response.ToStableJson());
   }
 
@@ -334,9 +335,8 @@ TEST_F(ApiEngineTest, TraceIsAnAdditiveSideChannel) {
   }
   EXPECT_TRUE(response.diagnostics.count("work.sketch_resets"));
   EXPECT_TRUE(response.diagnostics.count("work.gain_evaluations"));
-  // The pre-PR-7 bare spelling stays as an alias for one protocol version.
-  EXPECT_EQ(response.diagnostics.at("gain_evaluations"),
-            response.diagnostics.at("work.gain_evaluations"));
+  // The bare pre-v3 alias was retired at v4: work counts carry `work.`.
+  EXPECT_FALSE(response.diagnostics.count("gain_evaluations"));
 
   // A traced minseed reports its selector-call work count.
   Request minseed = Request::MinSeed(24, voting::ScoreSpec::Cumulative());
@@ -428,6 +428,33 @@ TEST_F(ApiEngineTest, HostBuildsIdenticalSketchThroughOocPath) {
     EXPECT_EQ(strip_millis(a.ToJson()), strip_millis(b.ToJson()))
         << "request " << request.id;
   }
+}
+
+TEST_F(ApiEngineTest, RejectsZeroRngSeedForBuiltSketches) {
+  // master_seed 0 is SketchMeta's "unknown provenance" sentinel: a sketch
+  // built under it could never be repaired, so every later edge commit
+  // would fail. Both build paths refuse the seed up front.
+  auto engine = Engine::Open({});
+  ASSERT_TRUE(engine.ok());
+  HostOptions host;
+  host.theta = 2000;
+  host.horizon = 6;
+  host.rng_seed = 0;
+  EXPECT_EQ((*engine)->Host("mem", dataset_, host).code(),
+            Status::Code::kInvalidArgument);
+
+  EngineOptions options = Options();
+  options.load.rng_seed = 0;
+  options.load.save_built_sketch = false;
+  const auto loaded = Engine::Open(options);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
+
+  // Any other seed hosts, and an edge commit repairs its sketch.
+  host.rng_seed = 1;
+  ASSERT_TRUE((*engine)->Host("mem", dataset_, host).ok());
+  const Response commit = (*engine)->Execute(Request::EdgeAdd(0, 1, 1.0));
+  EXPECT_TRUE(commit.ok) << commit.error;
 }
 
 }  // namespace

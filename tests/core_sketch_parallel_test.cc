@@ -1,5 +1,5 @@
-// Sharded BuildSketchSet: determinism across runs and thread counts, and
-// statistical agreement of its score estimates with the serial builder.
+// BuildSketchSet: determinism across runs and thread counts, and
+// statistical agreement of its score estimates across master seeds.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -38,7 +38,6 @@ TEST(ParallelSketchTest, BitIdenticalAcrossRuns) {
   ScoreEvaluator ev(model, inst.state, 0, 6, voting::ScoreSpec::Cumulative());
   SketchBuildOptions options;
   options.num_threads = 4;
-  options.block_size = 128;
   const auto first = BuildSketchSet(ev, 5000, /*master_seed=*/99, options);
   const auto second = BuildSketchSet(ev, 5000, /*master_seed=*/99, options);
   ExpectIdenticalWalkSets(*first, *second);
@@ -50,10 +49,8 @@ TEST(ParallelSketchTest, OutputIndependentOfThreadCount) {
   ScoreEvaluator ev(model, inst.state, 0, 6, voting::ScoreSpec::Cumulative());
   SketchBuildOptions serial_options;
   serial_options.num_threads = 1;
-  serial_options.block_size = 128;
   SketchBuildOptions parallel_options;
   parallel_options.num_threads = 3;
-  parallel_options.block_size = 128;
   const auto inline_build = BuildSketchSet(ev, 3000, 7, serial_options);
   const auto pooled_build = BuildSketchSet(ev, 3000, 7, parallel_options);
   ExpectIdenticalWalkSets(*inline_build, *pooled_build);
@@ -76,14 +73,14 @@ TEST(ParallelSketchTest, DifferentSeedsDiffer) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(ParallelSketchTest, WeightsMatchSerialConvention) {
-  // Same n * lambda_v / theta weighting as the serial builder.
+TEST(ParallelSketchTest, WeightsAreNLambdaOverTheta) {
+  // Eq. 35 / 42 / 47: a start sampled lambda_v times weighs n * lambda_v /
+  // theta.
   auto inst = MakeRandomInstance(30, 150, 2, 3);
   opinion::FJModel model(inst.graph);
   ScoreEvaluator ev(model, inst.state, 0, 4, voting::ScoreSpec::Cumulative());
   SketchBuildOptions options;
   options.num_threads = 2;
-  options.block_size = 64;
   const auto walks = BuildSketchSet(ev, 500, 5, options);
   EXPECT_EQ(walks->num_walks(), 500u);
   double total = 0.0;
@@ -95,11 +92,12 @@ TEST(ParallelSketchTest, WeightsMatchSerialConvention) {
   EXPECT_NEAR(total, 30.0, 1e-9);
 }
 
-TEST(ParallelSketchTest, GreedyEstimateMatchesSerialWithinEpsilon) {
+TEST(ParallelSketchTest, GreedyEstimateWithinEpsilonAcrossSeeds) {
   // Thm. 13-style agreement on the paper's running example: with a healthy
-  // theta, the estimated greedy score from the sharded builder must agree
-  // with the serial builder's estimate within epsilon * OPT, and both with
-  // the exact best single-seed score (Table I row {1}: 3.30 at t = 1).
+  // theta, the estimated greedy scores of two independently seeded sketches
+  // (one built inline, one on a pool) must agree within epsilon * OPT, and
+  // both with the exact best single-seed score (Table I row {1}: 3.30 at
+  // t = 1).
   constexpr double kEpsilon = 0.1;
   constexpr double kExactBest = 3.30;
   auto ex = MakePaperExample();
@@ -107,31 +105,31 @@ TEST(ParallelSketchTest, GreedyEstimateMatchesSerialWithinEpsilon) {
   ScoreEvaluator ev(model, ex.state, 0, 1, voting::ScoreSpec::Cumulative());
   const uint64_t theta = 20000;
 
-  Rng serial_rng(123);
-  auto serial_walks = BuildSketchSet(ev, theta, &serial_rng);
+  SketchBuildOptions inline_options;
+  inline_options.num_threads = 1;
+  auto first_walks = BuildSketchSet(ev, theta, /*master_seed=*/123,
+                                    inline_options);
   SketchBuildOptions options;
   options.num_threads = 4;
-  options.block_size = 1024;
-  auto parallel_walks = BuildSketchSet(ev, theta, /*master_seed=*/123,
-                                       options);
+  auto second_walks = BuildSketchSet(ev, theta, /*master_seed=*/124, options);
 
   EstimatedGreedyOptions greedy_options;
   greedy_options.evaluate_exact = false;
-  const SelectionResult serial =
-      EstimatedGreedySelect(ev, 1, serial_walks.get(), greedy_options);
-  const SelectionResult parallel =
-      EstimatedGreedySelect(ev, 1, parallel_walks.get(), greedy_options);
+  const SelectionResult first =
+      EstimatedGreedySelect(ev, 1, first_walks.get(), greedy_options);
+  const SelectionResult second =
+      EstimatedGreedySelect(ev, 1, second_walks.get(), greedy_options);
 
   const double bound = kEpsilon * kExactBest;
-  EXPECT_NEAR(serial.score, kExactBest, bound);
-  EXPECT_NEAR(parallel.score, kExactBest, bound);
-  EXPECT_NEAR(parallel.score, serial.score, bound);
-  EXPECT_EQ(parallel.seeds, serial.seeds);  // both must pick user 1 (node 0)
+  EXPECT_NEAR(first.score, kExactBest, bound);
+  EXPECT_NEAR(second.score, kExactBest, bound);
+  EXPECT_NEAR(second.score, first.score, bound);
+  EXPECT_EQ(second.seeds, first.seeds);  // both must pick user 1 (node 0)
 }
 
 TEST(ParallelSketchTest, RSGreedySeedsInvariantAcrossThreadCounts) {
-  // Regression: RSGreedySelect used to take a legacy serial-stream builder
-  // when num_threads == 1 and the sharded fixed-block builder otherwise, so
+  // Regression: RSGreedySelect used to take a separate serial-stream builder
+  // when num_threads == 1 and the sharded builder otherwise, so
   // --threads=1 and --threads=N answered from DIFFERENT sketches and could
   // return different seed sets. Every thread count (including the
   // hardware-default 0) must now produce identical seeds and scores.

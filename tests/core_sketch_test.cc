@@ -20,8 +20,7 @@ TEST(SketchSetTest, HasThetaWalksWithScaledWeights) {
   auto inst = MakeRandomInstance(30, 150, 2, 3);
   opinion::FJModel model(inst.graph);
   ScoreEvaluator ev(model, inst.state, 0, 4, voting::ScoreSpec::Cumulative());
-  Rng rng(5);
-  auto walks = BuildSketchSet(ev, 500, &rng);
+  auto walks = BuildSketchSet(ev, 500, /*master_seed=*/5, {.num_threads = 1});
   EXPECT_EQ(walks->num_walks(), 500u);
   // Start weights are n * lambda_v / theta; they sum to n.
   double total = 0.0;
@@ -39,10 +38,11 @@ TEST(SketchSetTest, CumulativeEstimatorIsUnbiased) {
   opinion::FJModel model(ex.graph);
   ScoreEvaluator ev(model, ex.state, 0, 1, voting::ScoreSpec::Cumulative());
   const double exact = 2.55;  // Table I row {}
-  Rng rng(7);
   RunningStat stat;
-  for (int rep = 0; rep < 200; ++rep) {
-    auto walks = BuildSketchSet(ev, 64, &rng);
+  for (uint64_t rep = 0; rep < 200; ++rep) {
+    // One independent sketch per repetition: its own master seed.
+    auto walks = BuildSketchSet(ev, 64, /*master_seed=*/7 + rep,
+                                {.num_threads = 1});
     double estimate = 0.0;
     for (graph::NodeId v = 0; v < 4; ++v) {
       if (walks->Lambda(v) > 0) {
@@ -78,8 +78,8 @@ TEST(OptLowerBoundTest, RefinementNeverLowersBound) {
   opinion::FJModel model(inst.graph);
   ScoreEvaluator ev(model, inst.state, 0, 3, voting::ScoreSpec::Cumulative());
   const double fallback = CumulativeOptLowerBound(ev, 3);
-  Rng rng(17);
-  const double refined = RefineOptLowerBound(ev, 3, 0.2, fallback, &rng);
+  const double refined =
+      RefineOptLowerBound(ev, 3, 0.2, fallback, /*master_seed=*/17);
   EXPECT_GE(refined, fallback);
   EXPECT_LE(refined, 30.0 + 1e-9);
 }

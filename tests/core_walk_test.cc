@@ -222,6 +222,45 @@ TEST(WalkEngineTest, PostGenerationTruncationMatchesDirectGeneration) {
   }
 }
 
+TEST(WalkEngineTest, DirectGenerationEqualsTruncationPerWalk) {
+  // Both generators take the same WalkStep, so on one stream Direct
+  // Generation with seed set S (Thm. 8) must equal Post-Generation
+  // Truncation of the empty-seed-set walk (Thm. 9) walk by walk, not just
+  // in expectation: the two consume identical draws up to the first seed.
+  auto inst = MakeRandomInstance(25, 140, 2, 11, /*max_stubbornness=*/0.6);
+  graph::AliasSampler alias(inst.graph);
+  const opinion::Campaign& campaign = inst.state.campaigns[0];
+  WalkEngine engine(inst.graph, campaign, alias);
+  const uint64_t master_seed = 31;
+  std::vector<graph::NodeId> walk;
+  for (const std::vector<graph::NodeId>& seeds :
+       std::vector<std::vector<graph::NodeId>>{{}, {2, 7}, {0, 5, 12, 24}}) {
+    std::vector<bool> is_seed(25, false);
+    for (auto s : seeds) is_seed[s] = true;
+    for (const uint32_t t : {0u, 1u, 4u}) {
+      for (uint64_t j = 0; j < 2000; ++j) {
+        Rng generate_rng = SketchWalkRng(master_seed, j);
+        const auto start = static_cast<graph::NodeId>(
+            generate_rng.UniformInt(inst.graph.num_nodes()));
+        engine.Generate(start, t, &generate_rng, &walk);
+        double truncated = campaign.initial_opinions[walk.back()];
+        for (graph::NodeId v : walk) {
+          if (is_seed[v]) {
+            truncated = 1.0;
+            break;
+          }
+        }
+
+        Rng direct_rng = SketchWalkRng(master_seed, j);
+        ASSERT_EQ(direct_rng.UniformInt(inst.graph.num_nodes()), start);
+        EXPECT_EQ(engine.GenerateWithSeeds(start, t, is_seed, &direct_rng),
+                  truncated)
+            << "walk " << j << " t=" << t << " |S|=" << seeds.size();
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-walk RNG streams (GenerateSeeded): the walk definition both the
 // in-memory sharded builder and the out-of-core block engine reproduce.

@@ -12,7 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "serve/service.h"
+#include "api/engine.h"
+#include "serve/protocol.h"
 
 namespace voteopt::serve {
 namespace {
@@ -48,9 +49,9 @@ class ServeConcurrencyTest : public ::testing::Test {
     }
   }
 
-  ServiceOptions OptionsFor(const std::string& prefix,
+  api::EngineOptions OptionsFor(const std::string& prefix,
                             uint32_t worker_threads) const {
-    ServiceOptions options;
+    api::EngineOptions options;
     options.load.bundle_prefix = prefix;
     options.load.build_theta = 10000;
     options.load.build_horizon = 8;
@@ -102,15 +103,15 @@ class ServeConcurrencyTest : public ::testing::Test {
 };
 
 TEST_F(ServeConcurrencyTest, AnswersAreInvariantAcrossWorkerThreadCounts) {
-  auto serial = CampaignService::Open(OptionsFor(prefix_a_, 1));
+  auto serial = api::Engine::Open(OptionsFor(prefix_a_, 1));
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = CampaignService::Open(OptionsFor(prefix_a_, 4));
+  auto parallel = api::Engine::Open(OptionsFor(prefix_a_, 4));
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   const std::vector<Request> batch = MixedBatch();
-  const std::vector<Response> serial_answers = (*serial)->HandleBatch(batch);
+  const std::vector<Response> serial_answers = (*serial)->ExecuteBatch(batch);
   const std::vector<Response> parallel_answers =
-      (*parallel)->HandleBatch(batch);
+      (*parallel)->ExecuteBatch(batch);
   ASSERT_EQ(serial_answers.size(), parallel_answers.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(StableJson(serial_answers[i]), StableJson(parallel_answers[i]))
@@ -122,16 +123,16 @@ TEST_F(ServeConcurrencyTest, AnswersAreInvariantAcrossWorkerThreadCounts) {
 }
 
 TEST_F(ServeConcurrencyTest, ConcurrentClientsMatchSerialExecution) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
+  auto service = api::Engine::Open(OptionsFor(prefix_a_, 4));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   // Reference answers from strictly serial execution on a fresh service.
-  auto reference = CampaignService::Open(OptionsFor(prefix_a_, 1));
+  auto reference = api::Engine::Open(OptionsFor(prefix_a_, 1));
   ASSERT_TRUE(reference.ok());
   const std::vector<Request> batch = MixedBatch();
   std::vector<std::string> expected;
   for (const Request& request : batch) {
-    expected.push_back(StableJson((*reference)->Handle(request)));
+    expected.push_back(StableJson((*reference)->Execute(request)));
   }
 
   // Several client threads fire the same mixed batch concurrently, each
@@ -148,7 +149,7 @@ TEST_F(ServeConcurrencyTest, ConcurrentClientsMatchSerialExecution) {
             const size_t at = (i + c) % batch.size();
             got[c].push_back(
                 std::to_string(at) + "|" +
-                StableJson((*service)->Handle(batch[at])));
+                StableJson((*service)->Execute(batch[at])));
           }
         }
       });
@@ -172,7 +173,7 @@ TEST_F(ServeConcurrencyTest, ConcurrentClientsMatchSerialExecution) {
 }
 
 TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
+  auto service = api::Engine::Open(OptionsFor(prefix_a_, 4));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   // Four client threads each fire the mixed batch (which includes one
@@ -185,7 +186,7 @@ TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
     for (size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&] {
         for (size_t round = 0; round < kRounds; ++round) {
-          (*service)->HandleBatch(batch);
+          (*service)->ExecuteBatch(batch);
         }
       });
     }
@@ -199,7 +200,7 @@ TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
   Request stats_request;
   stats_request.op = Request::Op::kStats;
   stats_request.v = 3;
-  const Response stats = (*service)->Handle(stats_request);
+  const Response stats = (*service)->Execute(stats_request);
   ASSERT_TRUE(stats.ok) << stats.error;
   double queries_total = 0, errors_total = 0, batches = 0;
   for (const auto& [name, value] : stats.stats) {
@@ -231,7 +232,7 @@ TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
 }
 
 TEST_F(ServeConcurrencyTest, AdminVerbsAreBatchOrderingBarriers) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
+  auto service = api::Engine::Open(OptionsFor(prefix_a_, 4));
   ASSERT_TRUE(service.ok());
 
   std::vector<Request> batch;
@@ -258,7 +259,7 @@ TEST_F(ServeConcurrencyTest, AdminVerbsAreBatchOrderingBarriers) {
   request.dataset = "other";  // must see the unload that precedes it
   batch.push_back(request);
 
-  const std::vector<Response> responses = (*service)->HandleBatch(batch);
+  const std::vector<Response> responses = (*service)->ExecuteBatch(batch);
   ASSERT_EQ(responses.size(), 5u);
   EXPECT_TRUE(responses[0].ok);
   ASSERT_EQ(responses[0].datasets.size(), 1u);  // only the bootstrap dataset
@@ -274,29 +275,29 @@ TEST_F(ServeConcurrencyTest, AdminVerbsAreBatchOrderingBarriers) {
 }
 
 TEST_F(ServeConcurrencyTest, UnloadEvictsIdleWorkerStates) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 2));
+  auto service = api::Engine::Open(OptionsFor(prefix_a_, 2));
   ASSERT_TRUE(service.ok());
 
   Request load;
   load.op = Request::Op::kLoad;
   load.dataset = "other";
   load.bundle = prefix_b_;
-  ASSERT_TRUE((*service)->Handle(load).ok);
+  ASSERT_TRUE((*service)->Execute(load).ok);
 
   // Route queries to both datasets so each accumulates pooled state.
   Request query;
   query.op = Request::Op::kEvaluate;
   query.seeds = {1, 2};
   query.dataset = "default";
-  ASSERT_TRUE((*service)->Handle(query).ok);
+  ASSERT_TRUE((*service)->Execute(query).ok);
   query.dataset = "other";
-  ASSERT_TRUE((*service)->Handle(query).ok);
+  ASSERT_TRUE((*service)->Execute(query).ok);
   EXPECT_GE((*service)->state_pool().IdleStates("other"), 1u);
 
   Request unload;
   unload.op = Request::Op::kUnload;
   unload.dataset = "other";
-  ASSERT_TRUE((*service)->Handle(unload).ok);
+  ASSERT_TRUE((*service)->Execute(unload).ok);
   // Eviction while idle: the pooled states died with the dataset.
   EXPECT_EQ((*service)->state_pool().IdleStates("other"), 0u);
   EXPECT_EQ((*service)->registry().size(), 1u);
@@ -304,19 +305,19 @@ TEST_F(ServeConcurrencyTest, UnloadEvictsIdleWorkerStates) {
   // Queries against the evicted name fail cleanly; the survivor still
   // answers; unloading twice reports NotFound.
   query.dataset = "other";
-  EXPECT_FALSE((*service)->Handle(query).ok);
+  EXPECT_FALSE((*service)->Execute(query).ok);
   query.dataset = "default";
-  EXPECT_TRUE((*service)->Handle(query).ok);
-  EXPECT_FALSE((*service)->Handle(unload).ok);
+  EXPECT_TRUE((*service)->Execute(query).ok);
+  EXPECT_FALSE((*service)->Execute(unload).ok);
 
   // A re-load under the same name serves again from a fresh generation.
-  ASSERT_TRUE((*service)->Handle(load).ok);
+  ASSERT_TRUE((*service)->Execute(load).ok);
   query.dataset = "other";
-  EXPECT_TRUE((*service)->Handle(query).ok);
+  EXPECT_TRUE((*service)->Execute(query).ok);
 }
 
 TEST_F(ServeConcurrencyTest, SingleWorkerReusesOneState) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 1));
+  auto service = api::Engine::Open(OptionsFor(prefix_a_, 1));
   ASSERT_TRUE(service.ok());
   std::vector<Request> batch;
   for (int i = 0; i < 6; ++i) {
@@ -325,7 +326,7 @@ TEST_F(ServeConcurrencyTest, SingleWorkerReusesOneState) {
     request.seeds = {static_cast<graph::NodeId>(i)};
     batch.push_back(request);
   }
-  for (const Response& response : (*service)->HandleBatch(batch)) {
+  for (const Response& response : (*service)->ExecuteBatch(batch)) {
     EXPECT_TRUE(response.ok) << response.error;
   }
   // Sequential execution on one worker: every query checked out the same
@@ -341,7 +342,7 @@ TEST_F(ServeConcurrencyTest, SingleWorkerReusesOneState) {
 // if the accessors take the pool mutex. The CI `tsan` job runs this suite,
 // so an accessor that drops the lock fails there too.
 TEST_F(ServeConcurrencyTest, StatePoolAccessorsAreSafeUnderQueryStorm) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
+  auto service = api::Engine::Open(OptionsFor(prefix_a_, 4));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   const std::vector<Request> batch = MixedBatch();
 
@@ -363,7 +364,7 @@ TEST_F(ServeConcurrencyTest, StatePoolAccessorsAreSafeUnderQueryStorm) {
     clients.emplace_back([&, c] {
       for (size_t round = 0; round < kRounds; ++round) {
         for (size_t i = 0; i < batch.size(); ++i) {
-          (void)(*service)->Handle(batch[(i + c) % batch.size()]);
+          (void)(*service)->Execute(batch[(i + c) % batch.size()]);
         }
       }
     });

@@ -1,12 +1,13 @@
 // Integration coverage for the offline-build -> persist -> serve workflow:
-// a bundle + sketch are persisted to disk, a CampaignService loads them in
+// a bundle + sketch are persisted to disk, an api::Engine loads them in
 // a fresh "process" (object), and a mixed batch of top-k / min-seed /
 // evaluate queries is answered from the one loaded store.
-#include "serve/service.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
+
+#include "api/engine.h"
+#include "serve/protocol.h"
 
 #include "core/estimated_greedy.h"
 #include "core/min_seed.h"
@@ -31,8 +32,8 @@ class ServeServiceTest : public ::testing::Test {
     }
   }
 
-  ServiceOptions DefaultOptions() const {
-    ServiceOptions options;
+  api::EngineOptions DefaultOptions() const {
+    api::EngineOptions options;
     options.load.bundle_prefix = prefix_;
     options.load.build_theta = 20000;
     options.load.build_horizon = 10;
@@ -56,13 +57,13 @@ class ServeServiceTest : public ::testing::Test {
 
 TEST_F(ServeServiceTest, BuildsPersistsAndServesMixedBatch) {
   // First open: no sketch on disk, so the service builds and persists one.
-  auto built = CampaignService::Open(DefaultOptions());
+  auto built = api::Engine::Open(DefaultOptions());
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_TRUE((*built)->stats().sketch_built);
 
   // Second open simulates the online process: it must load the persisted
   // artifact, not rebuild.
-  auto service = CampaignService::Open(DefaultOptions());
+  auto service = api::Engine::Open(DefaultOptions());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   EXPECT_FALSE((*service)->stats().sketch_built);
   EXPECT_TRUE((*service)->walks().adopted());
@@ -82,7 +83,7 @@ TEST_F(ServeServiceTest, BuildsPersistsAndServesMixedBatch) {
   batch.back().seeds = {1, 2, 3};
   batch.back().overrides = {{0, 1.0}};
 
-  const std::vector<Response> responses = (*service)->HandleBatch(batch);
+  const std::vector<Response> responses = (*service)->ExecuteBatch(batch);
   ASSERT_EQ(responses.size(), batch.size());
   for (const Response& response : responses) {
     EXPECT_TRUE(response.ok) << response.error;
@@ -108,12 +109,12 @@ TEST_F(ServeServiceTest, BuildsPersistsAndServesMixedBatch) {
 }
 
 TEST_F(ServeServiceTest, TopKMatchesDirectSketchSelection) {
-  auto service = CampaignService::Open(DefaultOptions());
+  auto service = api::Engine::Open(DefaultOptions());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   Request request = MakeRequest(Request::Op::kTopK);
   request.k = 6;
-  const Response response = (*service)->Handle(request);
+  const Response response = (*service)->Execute(request);
   ASSERT_TRUE(response.ok) << response.error;
 
   // Reference: the same sketch built directly from the persisted file's
@@ -133,52 +134,52 @@ TEST_F(ServeServiceTest, TopKMatchesDirectSketchSelection) {
 }
 
 TEST_F(ServeServiceTest, RepeatedQueriesAreDeterministic) {
-  auto service = CampaignService::Open(DefaultOptions());
+  auto service = api::Engine::Open(DefaultOptions());
   ASSERT_TRUE(service.ok());
   Request request = MakeRequest(Request::Op::kTopK);
   request.k = 4;
   request.rule = "copeland";
-  const Response first = (*service)->Handle(request);
-  const Response second = (*service)->Handle(request);
+  const Response first = (*service)->Execute(request);
+  const Response second = (*service)->Execute(request);
   ASSERT_TRUE(first.ok && second.ok);
   EXPECT_EQ(first.seeds, second.seeds);
   EXPECT_DOUBLE_EQ(first.exact_score, second.exact_score);
 }
 
 TEST_F(ServeServiceTest, ErrorsAreResponsesNotCrashes) {
-  auto service = CampaignService::Open(DefaultOptions());
+  auto service = api::Engine::Open(DefaultOptions());
   ASSERT_TRUE(service.ok());
 
   Request bad_rule = MakeRequest(Request::Op::kTopK);
   bad_rule.k = 3;
   bad_rule.rule = "frobnicate";
-  EXPECT_FALSE((*service)->Handle(bad_rule).ok);
+  EXPECT_FALSE((*service)->Execute(bad_rule).ok);
 
   Request bad_k = MakeRequest(Request::Op::kTopK);
   bad_k.k = 0;
-  EXPECT_FALSE((*service)->Handle(bad_k).ok);
+  EXPECT_FALSE((*service)->Execute(bad_k).ok);
 
   Request bad_seed = MakeRequest(Request::Op::kEvaluate);
   bad_seed.seeds = {dataset_.influence.num_nodes() + 5};
-  EXPECT_FALSE((*service)->Handle(bad_seed).ok);
+  EXPECT_FALSE((*service)->Execute(bad_seed).ok);
 
   Request bad_override = MakeRequest(Request::Op::kEvaluate);
   bad_override.overrides = {{0, 1.5}};
-  EXPECT_FALSE((*service)->Handle(bad_override).ok);
+  EXPECT_FALSE((*service)->Execute(bad_override).ok);
 
   // The service stays healthy after errors.
   Request good = MakeRequest(Request::Op::kTopK);
   good.k = 2;
-  EXPECT_TRUE((*service)->Handle(good).ok);
+  EXPECT_TRUE((*service)->Execute(good).ok);
   EXPECT_EQ((*service)->stats().errors, 4u);
 }
 
 TEST_F(ServeServiceTest, MinSeedMatchesAlgorithmTwo) {
-  auto service = CampaignService::Open(DefaultOptions());
+  auto service = api::Engine::Open(DefaultOptions());
   ASSERT_TRUE(service.ok());
   Request request = MakeRequest(Request::Op::kMinSeed);
   request.k_max = 32;
-  const Response response = (*service)->Handle(request);
+  const Response response = (*service)->Execute(request);
   ASSERT_TRUE(response.ok) << response.error;
   if (response.achievable && response.k_star > 0) {
     EXPECT_EQ(response.seeds.size(), response.k_star);
@@ -192,16 +193,16 @@ TEST_F(ServeServiceTest, MinSeedMatchesAlgorithmTwo) {
 }
 
 TEST_F(ServeServiceTest, MissingBundleFailsCleanly) {
-  ServiceOptions options = DefaultOptions();
+  api::EngineOptions options = DefaultOptions();
   options.load.bundle_prefix = prefix_ + "-nope";
-  auto service = CampaignService::Open(options);
+  auto service = api::Engine::Open(options);
   EXPECT_FALSE(service.ok());
 }
 
 TEST_F(ServeServiceTest, MissingSketchWithoutBuildFallbackFails) {
-  ServiceOptions options = DefaultOptions();
+  api::EngineOptions options = DefaultOptions();
   options.load.build_theta = 0;  // no fallback build allowed
-  auto service = CampaignService::Open(options);
+  auto service = api::Engine::Open(options);
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), Status::Code::kIOError);
 }
@@ -210,14 +211,14 @@ TEST_F(ServeServiceTest, StaleSketchForRegeneratedBundleRejected) {
   // Build + persist against the current bundle, then regenerate the bundle
   // with the SAME node count but a different seed: node-count and target
   // checks both pass, so only the fingerprint can catch the staleness.
-  auto built = CampaignService::Open(DefaultOptions());
+  auto built = api::Engine::Open(DefaultOptions());
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const datasets::Dataset regenerated = datasets::MakeDataset(
       datasets::DatasetName::kTwitterMask, 0.05, /*seed=*/8);
   ASSERT_EQ(regenerated.influence.num_nodes(),
             dataset_.influence.num_nodes());
   ASSERT_TRUE(datasets::SaveDatasetBundle(regenerated, prefix_).ok());
-  auto service = CampaignService::Open(DefaultOptions());
+  auto service = api::Engine::Open(DefaultOptions());
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), Status::Code::kFailedPrecondition);
 }
@@ -237,7 +238,7 @@ TEST_F(ServeServiceTest, MismatchedSketchRejected) {
   ASSERT_TRUE(store::SaveSketch(*walks, {1000, 10, 0, 1},
                                 datasets::BundleSketchPath(prefix_))
                   .ok());
-  auto service = CampaignService::Open(DefaultOptions());
+  auto service = api::Engine::Open(DefaultOptions());
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), Status::Code::kFailedPrecondition);
 }

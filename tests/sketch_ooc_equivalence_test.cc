@@ -108,7 +108,9 @@ TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
                    " threads=" + std::to_string(threads));
       ExpectBitIdentical(*reference, **ooc);
       EXPECT_EQ(stats.num_blocks, num_blocks);
-      if (num_blocks > 1) EXPECT_GT(stats.boundary_hops, 0u);
+      if (num_blocks > 1) {
+        EXPECT_GT(stats.boundary_hops, 0u);
+      }
     }
     RemoveBlocks(prefix_, num_blocks);
   }

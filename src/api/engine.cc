@@ -1,14 +1,12 @@
 #include "api/engine.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <future>
 #include <utility>
 
 #include "core/estimated_greedy.h"
 #include "core/min_seed.h"
 #include "dyn/journal.h"
-#include "dyn/repair.h"
 #include "util/timer.h"
 
 namespace voteopt::api {
@@ -94,8 +92,9 @@ Engine::Engine(const EngineOptions& options)
       "sets; clean walks splice their frozen bytes)");
   m_dyn_repair_seconds_ = metrics_.GetHistogram(
       "voteopt_dyn_repair_seconds", {},
-      "Incremental sketch-repair seconds per commit (patch + dirty-walk "
-      "regeneration + reassembly; absent for opinion-only batches)",
+      "Incremental sketch-repair seconds per commit (dirty-walk set + "
+      "regeneration + reassembly; patch, journal and swap excluded; absent "
+      "for opinion-only batches)",
       {0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60});
 }
 
@@ -672,85 +671,11 @@ Response Engine::HandleMutate(const Request& request) {
   if (!resolved.ok()) return Response::Error(request, resolved.status());
   const std::shared_ptr<const DatasetEntry>& base = *resolved;
 
-  auto patched = dyn::ApplyMutations(base->dataset.influence,
-                                     base->dataset.state, request.mutations);
-  if (!patched.ok()) return Response::Error(request, patched.status());
-
-  // The successor entry: same identity (name, base bundle, meta recipe),
-  // patched instance, extended journal. Everything published stays
-  // immutable — the commit is one shared_ptr swap in the registry.
-  auto next = std::make_shared<DatasetEntry>();
-  next->name = base->name;
-  next->dataset.name = base->dataset.name;
-  next->dataset.counts = base->dataset.counts;
-  next->dataset.default_target = base->dataset.default_target;
-  next->dataset.influence = std::move(patched->graph);
-  next->dataset.state = std::move(patched->state);
-  next->meta = base->meta;
-  next->sketch_built = base->sketch_built;
-  next->bundle_prefix = base->bundle_prefix;
-  next->base_fingerprint = base->base_fingerprint;
-  next->mutation_log = base->mutation_log;
-  next->mutation_log.Append(
-      std::span<const dyn::Mutation>(request.mutations));
-
-  dyn::RepairStats repair_stats;
-  repair_stats.walks_total = base->sketch->num_walks();
-  repair_stats.dirty_nodes = patched->dirty_nodes.size();
-  if (patched->dirty_nodes.empty()) {
-    // Opinion-only batch: walk trajectories depend on graph + stubbornness
-    // alone, and every query rebuilds the sketch's value layer from
-    // target_opinions() per selection — sharing the frozen WalkSet with
-    // the predecessor is exact. The alias tables are NOT shared: a sampler
-    // holds a pointer to the graph it serves, and the predecessor's graph
-    // dies with its entry once the registry swap below drops it. Rebind by
-    // incremental copy (empty dirty set — a straight table copy) so the
-    // published alias always points at its own entry's graph.
-    next->sketch = base->sketch;
-    if (base->alias != nullptr) {
-      next->alias = std::make_shared<const graph::AliasSampler>(
-          next->dataset.influence, *base->alias,
-          std::span<const graph::NodeId>{});
-    }
-  } else {
-    WallTimer repair_timer;
-    dyn::RepairOptions repair;
-    repair.num_threads = options_.load.build_threads;
-    if (options_.load.block_budget_bytes > 0) {
-      // The server is configured for out-of-core builds; repair replays
-      // the dirty walks through the same block scheduler under a unique
-      // scratch prefix (removed by Repair on every path).
-      static std::atomic<uint64_t> scratch_counter{0};
-      const std::string tag =
-          ".dynooc." + std::to_string(scratch_counter.fetch_add(1) + 1);
-      repair.block_budget_bytes = options_.load.block_budget_bytes;
-      if (!options_.load.ooc_scratch_prefix.empty()) {
-        repair.ooc_scratch_prefix = options_.load.ooc_scratch_prefix + tag;
-      } else if (!base->bundle_prefix.empty()) {
-        repair.ooc_scratch_prefix = base->bundle_prefix + tag;
-      } else {
-        repair.ooc_scratch_prefix =
-            (std::filesystem::temp_directory_path() / ("voteopt" + tag))
-                .string();
-      }
-    }
-    auto outcome = dyn::SketchRepairer::Repair(
-        *base->sketch, next->dataset.influence,
-        next->dataset.state.campaigns[next->meta.target], base->meta,
-        patched->dirty_nodes, base->alias.get(), repair);
-    if (!outcome.ok()) return Response::Error(request, outcome.status());
-    repair_stats = outcome->stats;
-    next->sketch =
-        std::shared_ptr<const core::WalkSet>(std::move(outcome->sketch));
-    next->alias = std::move(outcome->alias);  // null on the OOC path
-    if (m_dyn_repair_seconds_ != nullptr) {
-      m_dyn_repair_seconds_->Observe(repair_timer.Seconds());
-    }
-  }
-  next->model = std::make_unique<opinion::FJModel>(next->dataset.influence);
-  next->meta.bundle_fingerprint = BundleFingerprint(next->dataset);
-  // build_evaluator stays null: the base's evaluator propagated the
-  // pre-mutation graph and would seed worker LRUs with stale horizon rows.
+  auto successor = BuildSuccessor(*base, request.mutations,
+                                  options_.load.build_threads);
+  if (!successor.ok()) return Response::Error(request, successor.status());
+  const std::shared_ptr<DatasetEntry>& next = successor->entry;
+  const dyn::RepairStats& repair_stats = successor->repair;
 
   // Durability before visibility: persist the journal (temp + rename),
   // then publish. A crash between the two replays the full journal at the
@@ -779,6 +704,9 @@ Response Engine::HandleMutate(const Request& request) {
   if (m_dyn_commits_ != nullptr) m_dyn_commits_->Increment();
   if (m_dyn_walks_repaired_ != nullptr) {
     m_dyn_walks_repaired_->Increment(repair_stats.walks_repaired);
+  }
+  if (m_dyn_repair_seconds_ != nullptr && repair_stats.dirty_nodes > 0) {
+    m_dyn_repair_seconds_->Observe(repair_stats.seconds);
   }
 
   Response response;

@@ -1,7 +1,6 @@
 #include "api/registry.h"
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
@@ -48,6 +47,65 @@ uint64_t BundleFingerprint(const datasets::Dataset& dataset) {
         campaign.stubbornness.size() * sizeof(double));
   }
   return store::Fnv1a64(digests.data(), digests.size() * sizeof(uint64_t));
+}
+
+Result<SuccessorEntry> BuildSuccessor(const DatasetEntry& base,
+                                      std::span<const dyn::Mutation> mutations,
+                                      uint32_t num_threads) {
+  auto patched = dyn::ApplyMutations(base.dataset.influence,
+                                     base.dataset.state, mutations);
+  if (!patched.ok()) return patched.status();
+
+  SuccessorEntry successor;
+  successor.entry = std::make_shared<DatasetEntry>();
+  DatasetEntry& next = *successor.entry;
+  next.name = base.name;
+  next.dataset.name = base.dataset.name;
+  next.dataset.counts = base.dataset.counts;
+  next.dataset.default_target = base.dataset.default_target;
+  // The patched instance moves into its final home BEFORE any alias table
+  // is built over it: a sampler holds a pointer to the graph it serves.
+  next.dataset.influence = std::move(patched->graph);
+  next.dataset.state = std::move(patched->state);
+  next.meta = base.meta;
+  next.sketch_built = base.sketch_built;
+  next.bundle_prefix = base.bundle_prefix;
+  next.base_fingerprint = base.base_fingerprint;
+  next.mutation_log = base.mutation_log;
+  next.mutation_log.Append(mutations);
+
+  successor.repair.walks_total = base.sketch->num_walks();
+  if (patched->dirty_nodes.empty()) {
+    // Opinion-only batch: walk trajectories depend on graph + stubbornness
+    // alone, and every query rebuilds the sketch's value layer from
+    // target_opinions() per selection — sharing the frozen WalkSet with
+    // the predecessor is exact. The alias tables are NOT shared: the
+    // predecessor's graph dies with its entry, so they are re-bound by
+    // incremental copy (empty dirty set — a straight table copy).
+    next.sketch = base.sketch;
+    if (base.alias != nullptr) {
+      next.alias = std::make_shared<const graph::AliasSampler>(
+          next.dataset.influence, *base.alias,
+          std::span<const graph::NodeId>{});
+    }
+  } else {
+    dyn::RepairOptions repair_options;
+    repair_options.num_threads = num_threads;
+    auto repaired = dyn::SketchRepairer::Repair(
+        *base.sketch, next.dataset.influence,
+        next.dataset.state.campaigns[next.meta.target], base.meta,
+        patched->dirty_nodes, base.alias.get(), repair_options);
+    if (!repaired.ok()) return repaired.status();
+    successor.repair = repaired->stats;
+    next.sketch =
+        std::shared_ptr<const core::WalkSet>(std::move(repaired->sketch));
+    next.alias = std::move(repaired->alias);
+  }
+  next.model = std::make_unique<opinion::FJModel>(next.dataset.influence);
+  next.meta.bundle_fingerprint = BundleFingerprint(next.dataset);
+  // build_evaluator stays null: the base's evaluator propagated the
+  // pre-mutation graph and would seed worker LRUs with stale horizon rows.
+  return successor;
 }
 
 namespace {
@@ -209,23 +267,11 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
       return st;
     }
     if (options.save_built_sketch) {
-      // Protocol-level loads run concurrently, and two of them may name
-      // the same bundle prefix: write to a unique temp path and rename
-      // into place so the persisted artifact is never a torn mix of two
-      // writers.
-      static std::atomic<uint64_t> save_counter{0};
-      const std::string tmp_path =
-          sketch_path + ".tmp" + std::to_string(save_counter.fetch_add(1));
-      if (Status st = store::SaveSketch(*entry->sketch, entry->meta, tmp_path);
-          !st.ok()) {
-        std::remove(tmp_path.c_str());  // don't leave a partial file behind
-        return st;
-      }
-      if (std::rename(tmp_path.c_str(), sketch_path.c_str()) != 0) {
-        std::remove(tmp_path.c_str());
-        return Status::IOError(
-            sketch_path + ": cannot move the freshly built sketch into place");
-      }
+      // Protocol-level loads run concurrently and may name the same bundle
+      // prefix; the store writes a unique temp sibling and renames it into
+      // place, so the artifact is never a torn mix of two writers.
+      VOTEOPT_RETURN_IF_ERROR(
+          store::SaveSketch(*entry->sketch, entry->meta, sketch_path));
     }
   } else {
     return loaded.status();
@@ -245,8 +291,9 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
 
   // Crash recovery for dynamic graphs: a committed mutation journal next
   // to the bundle means the process last served a mutated instance —
-  // replay it on top of the base bundle and repair the sketch so the
-  // hosted entry is bit-identical to the pre-crash one (ledger entry 10).
+  // replay it on top of the base bundle through BuildSuccessor, the step a
+  // live commit runs, so the hosted entry is bit-identical to the
+  // pre-crash one (ledger entry 10).
   const std::string journal_path =
       options.bundle_prefix + dyn::kMutationLogSuffix;
   if (std::filesystem::exists(journal_path)) {
@@ -259,38 +306,10 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
           "(fingerprint mismatch) — remove it or restore the bundle");
     }
     if (!journal->mutations.empty()) {
-      auto patched = dyn::ApplyMutations(entry->dataset.influence,
-                                         entry->dataset.state,
-                                         journal->mutations);
-      if (!patched.ok()) return patched.status();
-      // Install the patched instance BEFORE repairing: the repair's alias
-      // tables bind to the graph object they are built over, so that graph
-      // must already sit in its published home, not in a local about to be
-      // moved from.
-      entry->dataset.influence = std::move(patched->graph);
-      entry->dataset.state = std::move(patched->state);
-      if (!patched->dirty_nodes.empty()) {
-        dyn::RepairOptions repair_options;
-        repair_options.num_threads = options.build_threads;
-        auto repaired = dyn::SketchRepairer::Repair(
-            *entry->sketch, entry->dataset.influence,
-            entry->dataset.state.campaigns[entry->meta.target], entry->meta,
-            patched->dirty_nodes, /*base_alias=*/nullptr, repair_options);
-        if (!repaired.ok()) return repaired.status();
-        entry->sketch = std::shared_ptr<const core::WalkSet>(
-            std::move(repaired->sketch));
-        entry->alias = std::move(repaired->alias);
-      }
-      entry->model =
-          std::make_unique<opinion::FJModel>(entry->dataset.influence);
-      entry->meta.bundle_fingerprint = BundleFingerprint(entry->dataset);
-      // The retained build evaluator propagated opinions over the BASE
-      // instance; dropping it is correct (workers rebuild on demand),
-      // keeping it would be a stale-answer bug.
-      entry->build_evaluator = nullptr;
-      entry->build_evaluator_key.clear();
-      entry->mutation_log.Append(std::span<const dyn::Mutation>(
-          journal->mutations));
+      auto successor =
+          BuildSuccessor(*entry, journal->mutations, options.build_threads);
+      if (!successor.ok()) return successor.status();
+      entry = std::move(successor->entry);
     }
   }
 

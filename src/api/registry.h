@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "datasets/io.h"
 #include "datasets/synthetic.h"
 #include "dyn/mutation.h"
+#include "dyn/repair.h"
 #include "graph/alias_table.h"
 #include "obs/metrics.h"
 #include "opinion/fj_model.h"
@@ -74,7 +76,8 @@ struct DatasetLoadOptions {
   /// into node-range blocks of at most this many resident bytes
   /// (sketch_ooc/), built block-at-a-time, and — by determinism ledger
   /// entry #7 — yields the exact WalkSet the in-memory builder would.
-  /// 0 keeps the in-memory sharded builder.
+  /// 0 keeps the in-memory sharded builder. Mutation commits repair in
+  /// memory either way (BuildSuccessor).
   uint64_t block_budget_bytes = 0;
   /// Where the OOC build parks its scratch block files; empty means next
   /// to the bundle (`<bundle_prefix>.oocblk`). Cleaned up after the build.
@@ -127,6 +130,29 @@ struct DatasetEntry {
     return dataset.state.campaigns[meta.target].initial_opinions;
   }
 };
+
+/// A dataset's next generation, built but not yet published.
+struct SuccessorEntry {
+  std::shared_ptr<DatasetEntry> entry;
+  /// What the sketch repair did; walks_repaired = 0 and seconds = 0 for an
+  /// opinion-only batch, which repairs nothing.
+  dyn::RepairStats repair;
+};
+
+/// The one commit step of a dynamic graph: patches `base` with
+/// `mutations` (dyn::ApplyMutations, all-or-nothing) and builds the
+/// successor entry — same identity (name, base bundle, sketch recipe),
+/// patched instance, repaired sketch (bit-identical to a rebuild, ledger
+/// entry 10), fresh model and fingerprint, no build evaluator, and the
+/// mutation log extended by the batch. An opinion-only batch shares the
+/// frozen sketch and re-binds the alias tables by row copy. Every alias
+/// sampler of the successor is bound to the successor's own graph.
+/// `num_threads` drives walk regeneration and never changes the output.
+/// A live `mutate` commit and the journal replay at Load both run exactly
+/// this function.
+Result<SuccessorEntry> BuildSuccessor(const DatasetEntry& base,
+                                      std::span<const dyn::Mutation> mutations,
+                                      uint32_t num_threads);
 
 /// How to host an in-memory dataset (DatasetRegistry::Host): the sketch is
 /// always built inline — there is no file to load — so these are the

@@ -23,7 +23,7 @@ SelectionResult RSGreedySelect(const ScoreEvaluator& evaluator, uint32_t k,
       opt_lb = CumulativeOptLowerBound(evaluator, k);
       if (options.refine_opt_bound) {
         opt_lb = RefineOptLowerBound(evaluator, k, options.epsilon, opt_lb,
-                                     options.rng_seed);
+                                     options.rng_seed, options.num_threads);
       }
       theta = static_cast<uint64_t>(std::ceil(
           ThetaForCumulative(n, k, options.epsilon, options.l, opt_lb)));
@@ -31,7 +31,8 @@ SelectionResult RSGreedySelect(const ScoreEvaluator& evaluator, uint32_t k,
       theta = EstimateThetaByConvergence(evaluator, k, options.theta_start,
                                          options.theta_cap,
                                          options.convergence_tol,
-                                         options.rng_seed);
+                                         options.rng_seed,
+                                         options.num_threads);
     }
     theta = std::clamp<uint64_t>(theta, 1, options.theta_cap);
   }

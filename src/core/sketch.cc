@@ -42,7 +42,7 @@ double CumulativeOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k) {
 
 double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
                            double epsilon, double fallback,
-                           uint64_t master_seed) {
+                           uint64_t master_seed, uint32_t num_threads) {
   const uint32_t n = evaluator.num_users();
   double x = static_cast<double>(n) / 2.0;
   // Cheap per-test sketch budget; grows as the tested bound shrinks, as in
@@ -53,10 +53,11 @@ double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
             (2.0 + 2.0 / 3.0 * epsilon) * static_cast<double>(n) *
             std::log(static_cast<double>(n)) / (epsilon * epsilon * x))),
         4ull * n);
-    auto walks =
-        BuildSketchSet(evaluator, theta, master_seed, {.num_threads = 1});
+    auto walks = BuildSketchSet(evaluator, theta, master_seed,
+                                {.num_threads = num_threads});
     EstimatedGreedyOptions opts;
     opts.evaluate_exact = false;  // the test uses the estimate only
+    opts.num_threads = num_threads;
     SelectionResult est = EstimatedGreedySelect(evaluator, k, walks.get(), opts);
     if (est.score >= (1.0 + epsilon) * x) {
       return std::max(fallback, est.score / (1.0 + epsilon));
@@ -69,16 +70,18 @@ double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
 uint64_t EstimateThetaByConvergence(const ScoreEvaluator& evaluator,
                                     uint32_t k, uint64_t theta_start,
                                     uint64_t theta_cap, double tol,
-                                    uint64_t rng_seed) {
+                                    uint64_t rng_seed, uint32_t num_threads) {
   uint64_t theta = std::max<uint64_t>(theta_start, 16);
   double previous = -1.0;
   uint64_t last_stable = 0;
   int stable_rounds = 0;
   while (theta <= theta_cap) {
-    auto walks =
-        BuildSketchSet(evaluator, theta, rng_seed, {.num_threads = 1});
+    auto walks = BuildSketchSet(evaluator, theta, rng_seed,
+                                {.num_threads = num_threads});
+    EstimatedGreedyOptions opts;
+    opts.num_threads = num_threads;
     const SelectionResult result =
-        EstimatedGreedySelect(evaluator, k, walks.get());
+        EstimatedGreedySelect(evaluator, k, walks.get(), opts);
     if (previous >= 0.0) {
       const double change = std::fabs(result.score - previous) /
                             std::max(1.0, std::fabs(result.score));

@@ -51,20 +51,25 @@ double CumulativeOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k);
 /// largest x for which the greedy estimate certifies OPT >= x, or
 /// `fallback` when no x passes. Every test draws its sketch from the
 /// streams of `master_seed`, so walk j is the same walk in each of them.
+/// `num_threads` (0 = one per hardware thread) drives the sketch builds
+/// and never changes the result.
 double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
                            double epsilon, double fallback,
-                           uint64_t master_seed);
+                           uint64_t master_seed, uint32_t num_threads = 1);
 
 /// § VI-E heuristic for the plurality variants and Copeland: doubles theta
 /// from `theta_start` until the exact score of the RS-selected seed set
 /// changes by less than `tol` (relative) between consecutive doublings, or
 /// until `theta_cap`. Returns the converged theta. Every doubling draws its
 /// sketch from the streams of `rng_seed`, so walk j is the same walk at
-/// every theta (common random numbers).
+/// every theta (common random numbers). `num_threads` (0 = one per
+/// hardware thread) drives the sketch builds and the greedy scans and
+/// never changes the result.
 uint64_t EstimateThetaByConvergence(const ScoreEvaluator& evaluator,
                                     uint32_t k, uint64_t theta_start,
                                     uint64_t theta_cap, double tol,
-                                    uint64_t rng_seed);
+                                    uint64_t rng_seed,
+                                    uint32_t num_threads = 1);
 
 }  // namespace voteopt::core
 

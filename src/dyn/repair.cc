@@ -5,9 +5,7 @@
 
 #include "core/sketch.h"
 #include "core/walk_engine.h"
-#include "sketch_ooc/block_store.h"
-#include "sketch_ooc/ooc_builder.h"
-#include "sketch_ooc/partition.h"
+#include "util/timer.h"
 
 namespace voteopt::dyn {
 
@@ -16,6 +14,7 @@ Result<RepairOutcome> SketchRepairer::Repair(
     const opinion::Campaign& campaign, const store::SketchMeta& meta,
     std::span<const graph::NodeId> dirty_nodes,
     const graph::AliasSampler* base_alias, const RepairOptions& options) {
+  WallTimer timer;
   const uint32_t n = patched.num_nodes();
   if (base.num_nodes() != n) {
     return Status::InvalidArgument(
@@ -55,61 +54,30 @@ Result<RepairOutcome> SketchRepairer::Repair(
   outcome.stats.walks_repaired = dirty_indices.size();
   outcome.stats.dirty_nodes = dirty_nodes.size();
 
+  // Alias tables over the patched graph, rebuilt at row granularity when
+  // the pre-mutation tables are available. They are built even when no
+  // walk is dirty (rare: mutated nodes unvisited by every walk) if base
+  // tables exist, so the next repair's row-level reuse tracks the patch.
+  if (!dirty_indices.empty() || base_alias != nullptr) {
+    outcome.alias =
+        base_alias != nullptr
+            ? std::make_shared<const graph::AliasSampler>(patched, *base_alias,
+                                                          dirty_nodes)
+            : std::make_shared<const graph::AliasSampler>(patched);
+  }
+
   // Regenerate exactly the dirty walks from their seeded streams.
   core::WalkBuffer regen;
   if (!dirty_indices.empty()) {
-    if (options.block_budget_bytes > 0) {
-      // Block-aware path: cut the patched graph into blocks and replay the
-      // dirty walks through the OOC scheduler (same machinery, same bytes).
-      if (options.ooc_scratch_prefix.empty()) {
-        return Status::InvalidArgument(
-            "repair: block_budget_bytes set but no ooc_scratch_prefix");
-      }
-      auto plan = sketch_ooc::PlanByBudget(patched, options.block_budget_bytes);
-      if (!plan.ok()) return plan.status();
-      const uint32_t num_blocks = plan->num_blocks();
-      if (Status st = sketch_ooc::WriteBlocks(patched, *plan,
-                                              options.ooc_scratch_prefix);
-          !st.ok()) {
-        sketch_ooc::RemoveBlocks(options.ooc_scratch_prefix, num_blocks);
-        return st;
-      }
-      auto blocks = sketch_ooc::BlockSet::Open(options.ooc_scratch_prefix);
-      if (!blocks.ok()) {
-        sketch_ooc::RemoveBlocks(options.ooc_scratch_prefix, num_blocks);
-        return blocks.status();
-      }
-      sketch_ooc::OocBuildOptions ooc_options;
-      ooc_options.num_threads = options.num_threads;
-      Status regenerated = sketch_ooc::RegenerateWalksOoc(
-          *blocks, campaign, meta.horizon, meta.master_seed, dirty_indices,
-          ooc_options, &regen);
-      sketch_ooc::RemoveBlocks(options.ooc_scratch_prefix, num_blocks);
-      if (!regenerated.ok()) return regenerated;
-    } else {
-      // In-memory path: alias tables over the patched graph, rebuilt at row
-      // granularity when the pre-mutation tables are available.
-      std::shared_ptr<const graph::AliasSampler> alias =
-          base_alias != nullptr
-              ? std::make_shared<const graph::AliasSampler>(patched, *base_alias,
-                                                            dirty_nodes)
-              : std::make_shared<const graph::AliasSampler>(patched);
-      const core::WalkEngine engine(patched, campaign, *alias);
-      for (const core::WalkBuffer& chunk :
-           core::GenerateWalks(engine, meta.horizon, meta.master_seed,
-                               dirty_indices, options.num_threads)) {
-        regen.nodes.insert(regen.nodes.end(), chunk.nodes.begin(),
-                           chunk.nodes.end());
-        regen.lengths.insert(regen.lengths.end(), chunk.lengths.begin(),
-                             chunk.lengths.end());
-      }
-      outcome.alias = std::move(alias);
+    const core::WalkEngine engine(patched, campaign, *outcome.alias);
+    for (const core::WalkBuffer& chunk :
+         core::GenerateWalks(engine, meta.horizon, meta.master_seed,
+                             dirty_indices, options.num_threads)) {
+      regen.nodes.insert(regen.nodes.end(), chunk.nodes.begin(),
+                         chunk.nodes.end());
+      regen.lengths.insert(regen.lengths.end(), chunk.lengths.begin(),
+                           chunk.lengths.end());
     }
-  } else if (options.block_budget_bytes == 0 && base_alias != nullptr) {
-    // No dirty walks (rare: mutated nodes unvisited by every walk) — the
-    // tables still must track the patched rows for the NEXT repair.
-    outcome.alias = std::make_shared<const graph::AliasSampler>(
-        patched, *base_alias, dirty_nodes);
   }
 
   // Reassemble the full sketch in walk-index order: clean walks splice
@@ -147,6 +115,7 @@ Result<RepairOutcome> SketchRepairer::Repair(
   repaired->Finalize(campaign.initial_opinions);
   core::ApplySketchWeights(repaired.get(), n, theta);
   outcome.sketch = std::move(repaired);
+  outcome.stats.seconds = timer.Seconds();
   return outcome;
 }
 

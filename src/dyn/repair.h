@@ -14,8 +14,11 @@
 // those walks from their seeded streams against the patched CSR — with a
 // row-level alias rebuild for mutated rows only — and reassembling in
 // walk-index order therefore yields a WalkSet BIT-IDENTICAL to a
-// from-scratch rebuild over the mutated graph, for any mutation schedule,
-// thread count, and both the in-memory and out-of-core build paths.
+// from-scratch rebuild over the mutated graph, for any mutation schedule
+// and thread count — and, by ledger entry 7, whichever scheduler (in
+// memory or out of core) built the base sketch. Regeneration always runs
+// in memory: a hosted entry holds its full CSR, and only the dirty walks
+// are replayed.
 //
 // Opinion mutations never dirty a node: trajectories depend only on the
 // graph and stubbornness, so set_opinion costs zero walk regenerations
@@ -26,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 
 #include "core/walk_set.h"
 #include "graph/alias_table.h"
@@ -41,19 +43,15 @@ struct RepairOptions {
   /// Worker threads for walk regeneration: 0 = one per hardware thread,
   /// 1 = inline. Never changes the output.
   uint32_t num_threads = 0;
-  /// > 0 routes regeneration through the out-of-core block engine with
-  /// this per-block byte budget (the path OOC-hosted datasets use); 0 uses
-  /// the in-memory alias tables.
-  uint64_t block_budget_bytes = 0;
-  /// Scratch prefix for the OOC path's block files (required when
-  /// block_budget_bytes > 0).
-  std::string ooc_scratch_prefix;
 };
 
 struct RepairStats {
   uint64_t walks_total = 0;
   uint64_t walks_repaired = 0;
   uint64_t dirty_nodes = 0;
+  /// Wall seconds of the Repair call (dirty set, regeneration, reassembly,
+  /// finalize); 0 when no repair ran.
+  double seconds = 0.0;
 };
 
 struct RepairOutcome {
@@ -61,7 +59,8 @@ struct RepairOutcome {
   /// the patched graph produces.
   std::unique_ptr<core::WalkSet> sketch;
   /// Alias tables over the patched graph, for the next repair's row-level
-  /// reuse. Null on the OOC path (blocks compile their own slices).
+  /// reuse. Null only when there was nothing to regenerate and no base
+  /// tables to carry forward.
   std::shared_ptr<const graph::AliasSampler> alias;
   RepairStats stats;
 };

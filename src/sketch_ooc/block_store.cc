@@ -26,22 +26,6 @@ struct ManifestMetaDisk {
 };
 static_assert(sizeof(ManifestMetaDisk) == 24);
 
-// Writes a section file atomically: temp sibling + rename, so a crash
-// mid-write never leaves a half-written file at the final path.
-Status WriteSectionFileAtomic(const std::string& path, store::FileKind kind,
-                              const std::vector<store::SectionRef>& sections) {
-  const std::string tmp = path + ".tmp";
-  if (Status st = store::WriteSectionFile(tmp, kind, sections); !st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 uint64_t InCsrFingerprint(const graph::Graph& graph) {
@@ -97,7 +81,7 @@ Status WriteBlocks(const graph::Graph& graph, const PartitionPlan& plan,
         "in_sources", sources.subspan(edge_begin, block_edges[b])));
     sections.push_back(store::MakeSection(
         "in_weights", weights.subspan(edge_begin, block_edges[b])));
-    VOTEOPT_RETURN_IF_ERROR(WriteSectionFileAtomic(
+    VOTEOPT_RETURN_IF_ERROR(store::WriteSectionFile(
         BlockPath(prefix, b), store::FileKind::kGraphBlock, sections));
   }
 
@@ -111,8 +95,8 @@ Status WriteBlocks(const graph::Graph& graph, const PartitionPlan& plan,
       "bounds", std::span<const graph::NodeId>(plan.bounds)));
   sections.push_back(store::MakeSection(
       "block_edges", std::span<const uint64_t>(block_edges)));
-  return WriteSectionFileAtomic(ManifestPath(prefix),
-                                store::FileKind::kBlockManifest, sections);
+  return store::WriteSectionFile(ManifestPath(prefix),
+                                 store::FileKind::kBlockManifest, sections);
 }
 
 void RemoveBlocks(const std::string& prefix, uint32_t num_blocks) {

@@ -59,18 +59,15 @@ bool AdvanceInBlock(WalkTask task, const GraphBlock& block,
   return false;
 }
 
-/// The shared wave/round scheduler: generates `count` walks whose global
-/// sketch indices are `global_index(0) .. global_index(count - 1)`, calling
-/// `emit(assembled)` once per wave with the wave's walks in list order.
-/// BuildSketchSetOoc instantiates it with the identity mapping over
-/// 0..theta-1; RegenerateWalksOoc with a dirty-walk index list. Both
-/// produce per-walk bytes identical to the in-memory builder's, because
-/// each walk's entire trajectory comes from its own SketchWalkRng stream.
-template <typename IndexFn, typename EmitFn>
+/// The wave/round scheduler: generates walks 0 .. count-1 of the sketch
+/// keyed by `master_seed` and appends each wave to `walks` in walk-index
+/// order — the in-memory builder's append order. Per-walk bytes equal the
+/// in-memory builder's because each walk's entire trajectory comes from
+/// its own SketchWalkRng stream.
 Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
                     uint32_t horizon, uint64_t master_seed, uint64_t count,
                     const OocBuildOptions& options, OocBuildStats* local_stats,
-                    IndexFn global_index, EmitFn emit) {
+                    core::WalkSet* walks) {
   const uint32_t n = blocks.num_nodes();
   const PartitionPlan& plan = blocks.plan();
   const uint32_t num_blocks = plan.num_blocks();
@@ -101,8 +98,7 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
     // block owning that node.
     uint64_t remaining = wave_count;
     for (uint64_t local = 0; local < wave_count; ++local) {
-      Rng rng =
-          core::SketchWalkRng(master_seed, global_index(wave_begin + local));
+      Rng rng = core::SketchWalkRng(master_seed, wave_begin + local);
       const auto start = static_cast<graph::NodeId>(rng.UniformInt(n));
       slab[local * stride] = start;
       lengths[local] = 1;
@@ -190,7 +186,7 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
       assembled.nodes.insert(assembled.nodes.end(), row, row + lengths[local]);
       assembled.lengths.push_back(lengths[local]);
     }
-    emit(assembled);
+    walks->AddWalks(assembled);
   }
   return Status::OK();
 }
@@ -206,36 +202,14 @@ Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOoc(
 
   OocBuildStats local_stats;
   auto walks = std::make_unique<core::WalkSet>(n);
-  VOTEOPT_RETURN_IF_ERROR(RunWalkWaves(
-      blocks, campaign, horizon, master_seed, theta, options, &local_stats,
-      [](uint64_t i) { return i; },
-      [&walks](const core::WalkBuffer& wave) { walks->AddWalks(wave); }));
+  VOTEOPT_RETURN_IF_ERROR(RunWalkWaves(blocks, campaign, horizon,
+                                       master_seed, theta, options,
+                                       &local_stats, walks.get()));
 
   walks->Finalize(campaign.initial_opinions);
   core::ApplySketchWeights(walks.get(), n, theta);
   if (stats) *stats = local_stats;
   return walks;
-}
-
-Status RegenerateWalksOoc(const BlockSet& blocks,
-                          const opinion::Campaign& campaign, uint32_t horizon,
-                          uint64_t master_seed,
-                          std::span<const uint64_t> walk_indices,
-                          const OocBuildOptions& options,
-                          core::WalkBuffer* out, OocBuildStats* stats) {
-  VOTEOPT_RETURN_IF_ERROR(campaign.Validate(blocks.num_nodes()));
-  OocBuildStats local_stats;
-  VOTEOPT_RETURN_IF_ERROR(RunWalkWaves(
-      blocks, campaign, horizon, master_seed, walk_indices.size(), options,
-      &local_stats, [walk_indices](uint64_t i) { return walk_indices[i]; },
-      [out](const core::WalkBuffer& wave) {
-        out->nodes.insert(out->nodes.end(), wave.nodes.begin(),
-                          wave.nodes.end());
-        out->lengths.insert(out->lengths.end(), wave.lengths.begin(),
-                            wave.lengths.end());
-      }));
-  if (stats) *stats = local_stats;
-  return Status::OK();
 }
 
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(

@@ -14,6 +14,12 @@
 // changing a single byte of the result. Walks are reassembled in walk-index
 // order, which is the in-memory builder's order.
 //
+// The scheduler serves builds only. A dynamic-graph commit repairs a
+// hosted sketch in memory whichever builder made it (dyn/repair.h): the
+// hosted entry holds the full CSR, and by ledger entry 7 the in-memory
+// regeneration of a dirty walk is the same bytes this scheduler would
+// produce.
+//
 // Scheduling: walks are seeded in waves (bounding resident trajectory
 // memory), each wave's walks are parked on the block owning their current
 // node, and rounds sweep the blocks in the fixed order 0 .. P-1, advancing
@@ -26,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "core/walk_set.h"
@@ -76,21 +81,6 @@ Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(
     uint32_t horizon, uint64_t theta, uint64_t master_seed,
     uint64_t block_budget_bytes, const std::string& scratch_prefix,
     const OocBuildOptions& options, OocBuildStats* stats = nullptr);
-
-/// Regenerates exactly the walks listed in `walk_indices` (global sketch
-/// walk indices) against the opened block set, appending their node
-/// sequences to `out` in list order. Because walk j is a pure function of
-/// (master_seed, j, horizon) and the graph, each regenerated walk is
-/// byte-identical to what a full (in-memory or OOC) build over the same
-/// graph would produce for that index — the block-aware half of the
-/// incremental sketch repairer (dyn/repair.h). Scheduling knobs in
-/// `options` never change the output.
-Status RegenerateWalksOoc(const BlockSet& blocks,
-                          const opinion::Campaign& campaign, uint32_t horizon,
-                          uint64_t master_seed,
-                          std::span<const uint64_t> walk_indices,
-                          const OocBuildOptions& options,
-                          core::WalkBuffer* out, OocBuildStats* stats = nullptr);
 
 }  // namespace voteopt::sketch_ooc
 

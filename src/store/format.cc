@@ -1,6 +1,8 @@
 #include "store/format.h"
 
+#include <atomic>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -103,8 +105,16 @@ Status WriteSectionFile(const std::string& path, FileKind kind,
   header.table_checksum =
       Fnv1a64(table.data(), table.size() * sizeof(SectionEntryDisk));
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  static std::atomic<uint64_t> temp_counter{0};
+#ifdef VOTEOPT_STORE_HAVE_MMAP
+  const long pid = static_cast<long>(::getpid());
+#else
+  const long pid = 0;
+#endif
+  const std::string temp = path + ".tmp" + std::to_string(pid) + "." +
+                           std::to_string(temp_counter.fetch_add(1));
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open " + temp + " for writing");
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
   out.write(reinterpret_cast<const char*>(table.data()),
             static_cast<std::streamsize>(table.size() *
@@ -123,11 +133,17 @@ Status WriteSectionFile(const std::string& path, FileKind kind,
     out.write(kPad, static_cast<std::streamsize>(padded - written));
     written = padded;
   }
-  // Flush before the final check: a buffered tail that fails at close
-  // (e.g. ENOSPC) must surface here, not be swallowed by the destructor.
-  out.flush();
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  // Close before the check: a buffered tail that fails at close (e.g.
+  // ENOSPC) must surface here, not be swallowed by the destructor.
+  out.close();
+  Status status = Status::OK();
+  if (!out) {
+    status = Status::IOError("write failed for " + path);
+  } else if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    status = Status::IOError("cannot rename " + temp + " to " + path);
+  }
+  if (!status.ok()) std::remove(temp.c_str());
+  return status;
 }
 
 MappedFile::~MappedFile() {

@@ -159,6 +159,35 @@ TEST(ParallelSketchTest, RSGreedySeedsInvariantAcrossThreadCounts) {
           << voting::ScoreKindName(kind) << " threads=" << threads;
     }
   }
+
+  // With theta estimated rather than given, the estimation's own sketches
+  // (the convergence doublings for plurality, the OPT lower-bound tests
+  // for cumulative) run on the same thread count; theta, seeds and score
+  // must still not depend on it.
+  for (const auto kind :
+       {voting::ScoreKind::kPlurality, voting::ScoreKind::kCumulative}) {
+    voting::ScoreSpec spec;
+    spec.kind = kind;
+    ScoreEvaluator ev(model, inst.state, 0, 5, spec);
+    RSOptions base;
+    base.theta_override = 0;
+    base.theta_cap = 1 << 16;
+    base.refine_opt_bound = kind == voting::ScoreKind::kCumulative;
+    base.rng_seed = 77;
+    base.num_threads = 1;
+    const SelectionResult reference = RSGreedySelect(ev, 6, base);
+    ASSERT_EQ(reference.seeds.size(), 6u) << voting::ScoreKindName(kind);
+
+    RSOptions options = base;
+    options.num_threads = 4;
+    const SelectionResult result = RSGreedySelect(ev, 6, options);
+    EXPECT_EQ(result.diagnostics.at("theta"),
+              reference.diagnostics.at("theta"))
+        << voting::ScoreKindName(kind);
+    EXPECT_EQ(result.seeds, reference.seeds) << voting::ScoreKindName(kind);
+    EXPECT_DOUBLE_EQ(result.score, reference.score)
+        << voting::ScoreKindName(kind);
+  }
 }
 
 }  // namespace

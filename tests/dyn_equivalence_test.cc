@@ -2,9 +2,9 @@
 // (dyn::SketchRepairer) produces a WalkSet BIT-IDENTICAL to a from-scratch
 // rebuild of the mutated instance — for every mutation schedule (edge
 // additions, deletions, mixed batches, opinion-only batches), every thread
-// count, both the in-memory and the out-of-core regeneration paths, and
-// with seed selections agreeing under all five voting rules. A sketch of
-// unknown provenance (master_seed = 0) refuses repair with a clean Status.
+// count, and with seed selections agreeing under all five voting rules. A
+// sketch of unknown provenance (master_seed = 0) refuses repair with a
+// clean Status.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -205,36 +205,6 @@ TEST(DynEquivalenceTest, SequentialBatchesChainRowLevelAliasRebuilds) {
   ASSERT_TRUE(outcome2.ok()) << outcome2.status().ToString();
   ExpectBitIdentical(*BuildFromScratch(patched2->graph, patched2->state),
                      *outcome2->sketch);
-}
-
-TEST(DynEquivalenceTest, OocRepairPathMatchesInMemoryAndRebuild) {
-  auto inst = MakeRandomInstance(100, 600, 2, 61);
-  const auto base = BuildFromScratch(inst.graph, inst.state);
-  const store::SketchMeta meta = MetaFor();
-
-  const auto [du, dv] = EdgeAt(inst.graph, 250);
-  const std::vector<Mutation> schedule = {Mutation::EdgeDel(du, dv),
-                                          Mutation::EdgeAdd(7, 70, 2.0)};
-  auto patched = ApplyMutations(inst.graph, inst.state, schedule);
-  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  const auto rebuilt = BuildFromScratch(patched->graph, patched->state);
-
-  for (const uint32_t threads : {1u, 2u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    RepairOptions options;
-    options.num_threads = threads;
-    // A tight budget forces several blocks, so dirty walks cross block
-    // boundaries mid-trajectory.
-    options.block_budget_bytes = 2048;
-    options.ooc_scratch_prefix =
-        ::testing::TempDir() + "/dyn_repair_t" + std::to_string(threads);
-    auto outcome = SketchRepairer::Repair(
-        *base, patched->graph, patched->state.campaigns[0], meta,
-        patched->dirty_nodes, /*base_alias=*/nullptr, options);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    ExpectBitIdentical(*rebuilt, *outcome->sketch);
-    EXPECT_EQ(outcome->alias, nullptr);  // OOC path builds no tables
-  }
 }
 
 TEST(DynEquivalenceTest, OpinionOnlyBatchKeepsGraphAndTrajectories) {

@@ -311,6 +311,66 @@ TEST_F(DynCrashRecoveryTest, OpinionOnlyCommitThenEdgeCommitStaysExact) {
   }
 }
 
+TEST_F(DynCrashRecoveryTest, OutOfCoreConfiguredCommitMatchesInMemory) {
+  // An engine configured for out-of-core builds repairs an edge commit in
+  // memory like every other engine: its sketch bytes equal an in-memory
+  // engine's after the same commits, a restart that replays the journal
+  // lands on them again, and no scratch block file outlives the build.
+  const std::vector<api::Request> commits = {
+      api::Request::EdgeAdd(0, 33, 2.0),
+      api::Request::Mutate({Mutation::SetOpinion(0, 12, 0.875),
+                            Mutation::EdgeAdd(4, 5, 1.0)}),
+  };
+  auto reference = api::Engine::Open(Options());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const api::Request& commit : commits) {
+    api::Response response = (*reference)->Execute(commit);
+    ASSERT_TRUE(response.ok) << response.error;
+  }
+  // The out-of-core engine builds its own sketch and journal.
+  std::remove((prefix_ + ".sketch").c_str());
+  std::remove((prefix_ + kMutationLogSuffix).c_str());
+
+  api::EngineOptions ooc = Options();
+  ooc.load.block_budget_bytes = 4096;
+  const std::filesystem::path dir =
+      std::filesystem::path(prefix_).parent_path();
+  const std::string stem =
+      std::filesystem::path(prefix_).filename().string() + ".";
+  auto expect_no_scratch_files = [&] {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(stem, 0) != 0) continue;
+      EXPECT_EQ(name.find("blk"), std::string::npos)
+          << "leftover scratch file: " << name;
+      EXPECT_EQ(name.find("ooc"), std::string::npos)
+          << "leftover scratch file: " << name;
+    }
+  };
+  {
+    auto engine = api::Engine::Open(ooc);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const auto snapshot = (*engine)->metrics().Snapshot();
+    ASSERT_EQ(snapshot.count(R"(voteopt_sketch_builds_total{mode="ooc"})"),
+              1u);
+    EXPECT_GT(snapshot.at(R"(voteopt_ooc_blocks{dataset="default"})"), 1.0);
+    for (const api::Request& commit : commits) {
+      api::Response response = (*engine)->Execute(commit);
+      ASSERT_TRUE(response.ok) << response.error;
+      EXPECT_GT(response.walks_repaired, 0u);
+    }
+    ExpectSameFrozenBytes((*reference)->walks(), (*engine)->walks());
+    expect_no_scratch_files();
+  }
+
+  // Restart: the persisted base sketch plus the journal replay.
+  auto restarted = api::Engine::Open(ooc);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_FALSE((*restarted)->stats().sketch_built);
+  ExpectSameFrozenBytes((*reference)->walks(), (*restarted)->walks());
+  expect_no_scratch_files();
+}
+
 TEST_F(DynCrashRecoveryTest, WrongBaseJournalIsRejected) {
   // A journal recorded against a DIFFERENT base bundle must fail the load,
   // not silently replay onto the wrong graph.

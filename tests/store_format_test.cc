@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+
+#include "core/walk_set.h"
+#include "store/graph_store.h"
+#include "store/sketch_store.h"
+#include "test_fixtures.h"
 
 namespace voteopt::store {
 namespace {
@@ -257,6 +263,60 @@ TEST_F(StoreFormatTest, SectionNameTooLongRejectedOnWrite) {
   const uint32_t value = 7;
   sections.push_back({"this-name-is-way-too-long", &value, sizeof(value)});
   EXPECT_FALSE(WriteSectionFile(path_, FileKind::kGraph, sections).ok());
+}
+
+// --- Every store file is written to a temp sibling and renamed into place
+// (WriteSectionFile); no path ever keeps a "<path>.tmp*" file behind. ---
+
+void ExpectNoTempSiblings(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string temp_stem = target.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(temp_stem, 0), 0u)
+        << "leftover temp file: " << entry.path();
+  }
+}
+
+TEST_F(StoreFormatTest, SaveSketchOverExistingFileLeavesNoTempFiles) {
+  core::WalkBuffer buffer;
+  buffer.nodes = {0, 2, 3, 1, 2};
+  buffer.lengths = {3, 2};
+  core::WalkSet walks(4);
+  walks.AddWalks(buffer);
+  walks.Finalize({0.40, 0.80, 0.60, 0.90});
+  SketchMeta meta;
+  meta.theta = 2;
+  meta.horizon = 3;
+  meta.master_seed = 5;
+  ASSERT_TRUE(SaveSketch(walks, meta, path_).ok());
+  meta.master_seed = 6;
+  ASSERT_TRUE(SaveSketch(walks, meta, path_).ok());
+  ExpectNoTempSiblings(path_);
+  auto loaded = LoadSketch(path_, SketchLoadMode::kCopy);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->meta.master_seed, 6u);  // the second save replaced it
+}
+
+TEST_F(StoreFormatTest, SaveGraphOverExistingFileLeavesNoTempFiles) {
+  const auto example = test::MakePaperExample();
+  ASSERT_TRUE(WriteSample().ok());  // an unrelated file already sits there
+  ASSERT_TRUE(SaveGraph(example.graph, path_).ok());
+  ExpectNoTempSiblings(path_);
+  auto loaded = LoadGraph(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_edges(), example.graph.num_edges());
+}
+
+TEST_F(StoreFormatTest, FailedWriteLeavesNoTempFiles) {
+  // A directory at the target path: the payload lands in the temp file,
+  // then the rename fails — and the temp file must go with it.
+  ASSERT_TRUE(std::filesystem::create_directory(path_));
+  const Status written = WriteSample();
+  EXPECT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), Status::Code::kIOError) << written.ToString();
+  ExpectNoTempSiblings(path_);
+  EXPECT_TRUE(std::filesystem::is_directory(path_));
 }
 
 }  // namespace

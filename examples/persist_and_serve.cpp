@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   const auto stats = (*engine)->stats();
   std::cout << "\n" << stats.queries << " queries, "
             << stats.evaluator_cache_misses << " evaluator builds, "
-            << stats.sketch_resets << " O(theta) sketch resets — one "
+            << stats.sketch_resets << " sketch resets — one "
             << (static_cast<double>((*engine)->walks().memory_bytes()) /
                 (1024.0 * 1024.0))
             << " MiB artifact served them all\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "core/estimated_greedy.h"
@@ -73,7 +74,9 @@ Engine::Engine(const EngineOptions& options)
       "to be constructed");
   m_sketch_resets_ = metrics_.GetCounter(
       "voteopt_sketch_resets_total", {},
-      "Working-sketch ResetValues rebuilds (one per RS selection)");
+      "Working-sketch resets, one per RS selection: an undo-log restore "
+      "of the previous selection's truncations, or a full ResetValues on a "
+      "worker state's first selection");
   m_batch_size_ = metrics_.GetHistogram(
       "voteopt_batch_requests", {},
       "Requests per ExecuteBatch call (batch occupancy)",
@@ -161,10 +164,15 @@ const voting::ScoreEvaluator* Engine::EvaluatorFor(
 
 void Engine::ResetSketch(const DatasetEntry& entry, QueryState& state,
                          obs::Trace* trace) {
-  state.walks->ResetValues(entry.target_opinions());
+  std::optional<size_t> restored = state.walks->RestoreBaseline();
+  if (!restored) {
+    state.walks->ResetValues(entry.target_opinions());
+    restored = state.walks->num_walks();
+  }
   ++sketch_resets_;
   if (m_sketch_resets_ != nullptr) m_sketch_resets_->Increment();
   trace->AddWork("sketch_resets", 1);
+  trace->AddWork("walks_restored", static_cast<double>(*restored));
 }
 
 void Engine::AttachTrace(const obs::Trace& trace, Response* response) {
@@ -325,8 +333,9 @@ core::SelectionResult Engine::SelectSeeds(
         ->Increment();
   }
   if (method == baselines::Method::kRS) {
-    // RS answers from the hosted artifact: rebuild the working view's
-    // O(theta) dynamic state, then run the greedy loop on the frozen walks.
+    // RS answers from the hosted artifact: return the working view's
+    // dynamic state to its baseline, then run the greedy loop on the
+    // frozen walks.
     ResetSketch(entry, state, trace);
     return core::EstimatedGreedySelect(evaluator, k, state.walks.get(),
                                        SketchSelectionOptions(options));
@@ -392,22 +401,29 @@ Response Engine::HandleMinSeed(const Request& request,
   if (request.method == baselines::Method::kRS && request.options.single_pass) {
     // Single-pass Algorithm 2: greedy on the frozen sketch is
     // prefix-nested, so ONE selection at k_max — checking the winning
-    // criterion per prefix — replaces the binary search's per-probe
+    // criterion on its prefixes — replaces the binary search's per-probe
     // ResetSketch + full reselection. selector_calls is therefore at most
-    // 1 (see PROTOCOL.md).
+    // 1 (see PROTOCOL.md). Lazy cumulative rounds are far cheaper than an
+    // exact check, so that selector gallops; full-scan rounds are dearer,
+    // so those selectors check every prefix and stop at k*.
+    const core::EstimatedGreedyOptions base =
+        SketchSelectionOptions(request.options);
     const core::PrefixSelector selector =
-        [this, &request, &entry, &state, trace](
+        [this, &base, &entry, &state, trace](
             const voting::ScoreEvaluator& evaluator_ref, uint32_t budget,
             const core::PrefixCallback& on_prefix) {
           ResetSketch(entry, state, trace);
-          core::EstimatedGreedyOptions greedy =
-              SketchSelectionOptions(request.options);
+          core::EstimatedGreedyOptions greedy = base;
           greedy.on_prefix = core::ToGreedyPrefixHook(on_prefix);
           return core::EstimatedGreedySelect(evaluator_ref, budget,
                                              state.walks.get(), greedy);
         };
+    const core::CheckSchedule schedule =
+        core::SelectsLazily(evaluator->spec().kind, base)
+            ? core::CheckSchedule::kGalloping
+            : core::CheckSchedule::kEveryPrefix;
     result = core::MinSeedsToWinSinglePass(*evaluator, selector,
-                                           request.k_max);
+                                           request.k_max, schedule);
   } else {
     // The paper's budget binary search — over fresh sketch selections for
     // RS (the single-pass oracle baseline), or over any other roster
@@ -442,6 +458,7 @@ Response Engine::HandleMinSeed(const Request& request,
   response.seeds = result.seeds;
   response.selector_calls = result.selector_calls;
   trace->AddWork("selector_calls", result.selector_calls);
+  trace->AddWork("target_wins_checks", result.target_wins_checks);
   {
     obs::Trace::Span eval_span(trace, "evaluation");
     response.exact_score = request.options.evaluate_exact

@@ -21,10 +21,10 @@
 // which preserves exact serial semantics.
 //
 // Method dispatch: the RS method (the default) answers from the hosted
-// frozen sketch — selection is a zero-copy working view plus an O(theta)
-// ResetValues. The other eight roster methods (DM, RW, IC, LT, GED-T, PR,
-// RWR, DC) build their own substrate per query via
-// baselines::SelectWithMethod; they are deterministic in
+// frozen sketch — selection is a zero-copy working view whose dynamic
+// state returns to its baseline by undo log. The other eight roster
+// methods (DM, RW, IC, LT, GED-T, PR, RWR, DC) build their own substrate
+// per query via baselines::SelectWithMethod; they are deterministic in
 // QueryOptions::methods.rng_seed but cost what the offline algorithm
 // costs. MethodCompare runs the whole roster on one instance; RuleSweep
 // scores one budget under all five voting rules.
@@ -180,7 +180,11 @@ class Engine {
   const voting::ScoreEvaluator* EvaluatorFor(const voting::ScoreSpec& spec,
                                              QueryState& state,
                                              obs::Trace* trace);
-  /// Rebuilds the leased working sketch's dynamic state for a selection.
+  /// Returns the leased working sketch to its baseline for a selection:
+  /// an undo-log restore of the previous selection's truncations, or a
+  /// full ResetValues on the state's first selection (and after the log
+  /// overflowed). The state is bound to one entry generation, so its
+  /// baseline opinions never change under it.
   void ResetSketch(const DatasetEntry& entry, QueryState& state,
                    obs::Trace* trace);
 

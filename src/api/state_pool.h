@@ -4,8 +4,9 @@
 //
 //  * a working WalkSet that aliases the frozen walk arrays (zero-copy,
 //    WalkSet::ShareFrozen) but owns its dynamic truncation state — the
-//    per-walk values / effective lengths / per-node sums that ResetValues
-//    rebuilds and Truncate consumes, and
+//    per-walk values / effective lengths / per-node sums that Truncate
+//    consumes, ResetValues builds once per state, and the undo-log
+//    RestoreBaseline returns to the baseline before every selection, and
 //  * the per-voting-rule ScoreEvaluator LRU (each evaluator caches the
 //    competitors' propagated horizon opinions — the expensive part of its
 //    construction).

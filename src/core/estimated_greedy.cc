@@ -251,7 +251,7 @@ SelectionResult EstimatedGreedySelect(const ScoreEvaluator& evaluator,
     return true;
   };
 
-  if (kind == voting::ScoreKind::kCumulative && options.lazy) {
+  if (SelectsLazily(kind, options)) {
     // CELF lazy evaluation: truncation only raises walk values toward 1 and
     // shortens effective lengths, so cumulative marginal gains never grow as
     // seeds are added — a gain computed in an earlier round upper-bounds the
@@ -268,27 +268,40 @@ SelectionResult EstimatedGreedySelect(const ScoreEvaluator& evaluator,
       return a.gain < b.gain || (a.gain == b.gain && a.node > b.node);
     };
     // Round 0 evaluates every candidate once (the exhaustive first scan),
-    // chunked over the pool when one exists.
+    // chunked over the pool when one exists. On a baseline walk state the
+    // scan's gains are memoized there: they depend only on the frozen
+    // walks and the baseline values, so every later selection from the
+    // same baseline seeds an identical heap from the memo instead.
     std::vector<Entry> entries(n);
-    const auto init_chunk = [&](graph::NodeId begin, graph::NodeId end) {
-      for (graph::NodeId w = begin; w < end; ++w) {
-        entries[w] = Entry{CumulativeGain(*walks, w), w, 0};
-      }
-    };
-    if (pool) {
-      const uint32_t per = (n + scan_chunks - 1) / scan_chunks;
-      std::vector<std::future<void>> futures;
-      futures.reserve(scan_chunks);
-      for (uint32_t c = 0; c < scan_chunks; ++c) {
-        futures.push_back(pool->Submit([&, c] {
-          init_chunk(c * per, std::min<graph::NodeId>((c + 1) * per, n));
-        }));
-      }
-      for (auto& future : futures) future.get();
+    const std::span<const double> memo = walks->baseline_gains();
+    if (!memo.empty()) {
+      for (graph::NodeId w = 0; w < n; ++w) entries[w] = Entry{memo[w], w, 0};
     } else {
-      init_chunk(0, n);
+      const auto init_chunk = [&](graph::NodeId begin, graph::NodeId end) {
+        for (graph::NodeId w = begin; w < end; ++w) {
+          entries[w] = Entry{CumulativeGain(*walks, w), w, 0};
+        }
+      };
+      if (pool) {
+        const uint32_t per = (n + scan_chunks - 1) / scan_chunks;
+        std::vector<std::future<void>> futures;
+        futures.reserve(scan_chunks);
+        for (uint32_t c = 0; c < scan_chunks; ++c) {
+          futures.push_back(pool->Submit([&, c] {
+            init_chunk(c * per, std::min<graph::NodeId>((c + 1) * per, n));
+          }));
+        }
+        for (auto& future : futures) future.get();
+      } else {
+        init_chunk(0, n);
+      }
+      gain_evaluations += n;
+      if (walks->at_baseline()) {
+        std::vector<double> gains(n);
+        for (graph::NodeId w = 0; w < n; ++w) gains[w] = entries[w].gain;
+        walks->set_baseline_gains(std::move(gains));
+      }
     }
-    gain_evaluations += n;
     std::priority_queue<Entry, std::vector<Entry>, decltype(below)> heap(
         below, std::move(entries));
 

@@ -65,11 +65,22 @@ struct EstimatedGreedyOptions {
   uint32_t num_threads = 1;
 };
 
+/// True when EstimatedGreedySelect takes the CELF lazy path for this score
+/// kind: a round then re-evaluates a few stale gains instead of scanning
+/// every candidate.
+inline bool SelectsLazily(voting::ScoreKind kind,
+                          const EstimatedGreedyOptions& options) {
+  return kind == voting::ScoreKind::kCumulative && options.lazy;
+}
+
 /// Runs k greedy iterations on `walks` (which must be finalized and is
 /// consumed: its truncation state reflects the selected seeds afterwards).
 /// Diagnostics include "estimated_score", "walks", "walk_memory_mb", and
 /// "gain_evaluations" (full marginal-gain computations performed — the
-/// CELF-vs-exhaustive work metric).
+/// CELF-vs-exhaustive work metric). A lazy cumulative selection that starts
+/// on a baseline walk state (WalkSet::at_baseline) memoizes its round-0
+/// gains there and later ones reuse them, so their initial scan costs no
+/// gain evaluations; the seeds and scores are the same either way.
 SelectionResult EstimatedGreedySelect(
     const ScoreEvaluator& evaluator, uint32_t k, WalkSet* walks,
     const EstimatedGreedyOptions& options = EstimatedGreedyOptions());

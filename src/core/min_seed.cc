@@ -1,6 +1,7 @@
 #include "core/min_seed.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace voteopt::core {
@@ -17,6 +18,18 @@ bool TargetWins(const ScoreEvaluator& evaluator,
   return true;
 }
 
+namespace {
+
+/// TargetWins on a non-empty prefix, counted as one exact check.
+bool CountedWins(const ScoreEvaluator& evaluator,
+                 const std::vector<graph::NodeId>& seeds,
+                 MinSeedResult* result) {
+  ++result->target_wins_checks;
+  return TargetWins(evaluator, seeds);
+}
+
+}  // namespace
+
 MinSeedResult MinSeedsToWin(const ScoreEvaluator& evaluator,
                             const SeedSelector& selector, uint32_t k_max) {
   MinSeedResult result;
@@ -32,7 +45,7 @@ MinSeedResult MinSeedsToWin(const ScoreEvaluator& evaluator,
   // Check feasibility at the maximum budget first.
   SelectionResult at_upper = selector(evaluator, upper);
   ++result.selector_calls;
-  if (!TargetWins(evaluator, at_upper.seeds)) {
+  if (!CountedWins(evaluator, at_upper.seeds, &result)) {
     result.achievable = false;
     result.k_star = upper;
     result.seeds = std::move(at_upper.seeds);
@@ -51,7 +64,7 @@ MinSeedResult MinSeedsToWin(const ScoreEvaluator& evaluator,
     const uint32_t mid = lower + (result.k_star - lower) / 2;
     SelectionResult attempt = selector(evaluator, mid);
     ++result.selector_calls;
-    if (TargetWins(evaluator, attempt.seeds)) {
+    if (CountedWins(evaluator, attempt.seeds, &result)) {
       result.k_star = mid;
       result.seeds = std::move(attempt.seeds);
     } else {
@@ -63,7 +76,7 @@ MinSeedResult MinSeedsToWin(const ScoreEvaluator& evaluator,
 
 MinSeedResult MinSeedsToWinSinglePass(const ScoreEvaluator& evaluator,
                                       const PrefixSelector& selector,
-                                      uint32_t k_max) {
+                                      uint32_t k_max, CheckSchedule schedule) {
   MinSeedResult result;
   if (TargetWins(evaluator, {})) {
     result.achievable = true;
@@ -75,31 +88,61 @@ MinSeedResult MinSeedsToWinSinglePass(const ScoreEvaluator& evaluator,
   const uint32_t upper = (k_max == 0 || k_max > n) ? n : k_max;
 
   // One selection at the full budget; prefix nesting means the budget-j
-  // greedy set IS the length-j prefix, so the first winning prefix is the
-  // binary search's k*. The winning prefix is captured here rather than
-  // taken from the returned result, so a selector that keeps selecting
-  // after the stop signal still yields the right seed set.
-  uint32_t winning_len = 0;
-  std::vector<graph::NodeId> winning_seeds;
+  // greedy set IS the length-j prefix. The winning predicate is checked at
+  // the schedule's checkpoints, and the selection stops at the first
+  // winning one. The winning prefix is captured here rather than taken
+  // from the returned result, so a selector that keeps selecting after the
+  // stop signal still yields the right seed set.
+  const bool galloping = schedule == CheckSchedule::kGalloping;
+  uint32_t losing_len = 0;  // longest checked prefix that loses
+  std::vector<graph::NodeId> winning;
   const PrefixCallback on_prefix =
       [&](uint32_t len, const std::vector<graph::NodeId>& prefix) {
-        if (!TargetWins(evaluator, prefix)) return false;
-        winning_len = len;
-        winning_seeds = prefix;
-        return true;  // stop selecting: this prefix already wins
+        if (!winning.empty()) return true;
+        if (galloping && !std::has_single_bit(len) && len != upper) {
+          return false;
+        }
+        if (!CountedWins(evaluator, prefix, &result)) {
+          losing_len = len;
+          return false;
+        }
+        winning = prefix;
+        return true;  // stop selecting: this checkpoint already wins
       };
   SelectionResult full = selector(evaluator, upper, on_prefix);
   ++result.selector_calls;
+  // A selector that ran out of candidates before `upper` ends on a prefix
+  // that may not be a checkpoint; it is the last one to check.
+  if (winning.empty() && full.seeds.size() > losing_len &&
+      CountedWins(evaluator, full.seeds, &result)) {
+    winning = full.seeds;
+  }
 
-  if (winning_len > 0) {
-    result.achievable = true;
-    result.k_star = winning_len;
-    result.seeds = std::move(winning_seeds);
-  } else {
+  if (winning.empty()) {
     result.achievable = false;
     result.k_star = upper;  // reports the exhausted budget, like the search
     result.seeds = std::move(full.seeds);
+    return result;
   }
+  // k* lies in (losing_len, |winning|]: bisect on the recorded prefixes
+  // (an empty gap unless galloping). The assumed monotonicity of the
+  // winning predicate (see min_seed.h) makes the first winning prefix the
+  // one an every-prefix scan would stop at.
+  auto winning_len = static_cast<uint32_t>(winning.size());
+  std::vector<graph::NodeId> probe;
+  while (winning_len - losing_len > 1) {
+    const uint32_t mid = losing_len + (winning_len - losing_len) / 2;
+    probe.assign(winning.begin(), winning.begin() + mid);
+    if (CountedWins(evaluator, probe, &result)) {
+      winning_len = mid;
+    } else {
+      losing_len = mid;
+    }
+  }
+  winning.resize(winning_len);
+  result.achievable = true;
+  result.k_star = winning_len;
+  result.seeds = std::move(winning);
   return result;
 }
 

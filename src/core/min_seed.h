@@ -14,9 +14,21 @@
 //    the seed set. tests/core_min_seed_test.cc pins the nesting invariant.
 //  * MinSeedsToWinSinglePass — the fast path that makes the invariant
 //    explicit: because greedy budgets nest, ONE selection at k_max visits
-//    every candidate budget as a prefix, so checking the winning criterion
-//    per prefix replaces the per-probe full reselection entirely — one
-//    selector call instead of 1 + O(log k_max).
+//    every candidate budget as a prefix, so one selector call replaces the
+//    search's 1 + O(log k_max) full reselections. Each prefix it checks
+//    costs one exact t-step propagation, and a CheckSchedule says which
+//    prefixes it checks: every one (the selection stops at k*, and the
+//    answer is the first winning prefix with no monotonicity assumed), or
+//    the galloping checkpoints 1, 2, 4, ... and k_max followed by a
+//    bisection of the last gap (O(log k*) checks, but the selection may
+//    run on to 2k* - 1 seeds). Galloping is only as right as the monotone
+//    winning predicate MinSeedsToWin assumes. That holds in exact
+//    arithmetic, since a seed only raises target opinions, but rounding
+//    does not guarantee it bit for bit: FJModel::Step computes
+//    (1 - d) * aggregated + d * initial, and seeding v replaces v's value
+//    by exactly 1.0 even where rounding had put it an ulp above.
+//    tests/core_min_seed_test.cc pins the galloping answer to the
+//    every-prefix one on random instances.
 #ifndef VOTEOPT_CORE_MIN_SEED_H_
 #define VOTEOPT_CORE_MIN_SEED_H_
 
@@ -35,6 +47,9 @@ struct MinSeedResult {
   /// Number of selector invocations spent: 1 + O(log k_max) for the binary
   /// search, at most 1 for the single-pass driver.
   uint32_t selector_calls = 0;
+  /// Exact winning-criterion checks on non-empty seed sets (one t-step
+  /// propagation each); the seedless check is free and not counted.
+  uint32_t target_wins_checks = 0;
 };
 
 /// Algorithm 2. `selector` produces the (approximately optimal) seed set of
@@ -67,17 +82,34 @@ ToGreedyPrefixHook(const PrefixCallback& on_prefix) {
                      const WalkSet&) { return on_prefix(len, prefix); };
 }
 
+/// Which prefixes MinSeedsToWinSinglePass checks with TargetWins. The
+/// right one depends on what a selection round costs next to a check.
+enum class CheckSchedule {
+  /// Every prefix, stopping the selection at the first winning one: k*
+  /// checks and k* rounds. For selectors whose rounds cost a full gain
+  /// scan (rank-sensitive rules, Copeland, the exhaustive cumulative
+  /// scan), where each extra round costs more than the checks saved.
+  kEveryPrefix,
+  /// Prefixes 1, 2, 4, ... and k_max, stopping at the first winning one,
+  /// then a bisection between it and the last losing checkpoint: O(log k*)
+  /// checks, up to 2k* - 1 rounds. For the lazy (CELF) cumulative
+  /// selector, whose rounds re-evaluate a few gains and cost far less than
+  /// a check.
+  kGalloping,
+};
+
 /// Single-pass Algorithm 2 for prefix-nested (greedy) selectors: one
-/// selection at the k_max budget, checking TargetWins after every selected
-/// seed and stopping at the first winning prefix. Returns the same k* and
-/// seeds as MinSeedsToWin over the equivalent per-budget selector, with
-/// selector_calls <= 1 (0 when the target already wins seedless).
-MinSeedResult MinSeedsToWinSinglePass(const ScoreEvaluator& evaluator,
-                                      const PrefixSelector& selector,
-                                      uint32_t k_max = 0);
+/// selection at the k_max budget, checking TargetWins at the prefixes
+/// `schedule` names. Returns the same k* and seeds as MinSeedsToWin over
+/// the equivalent per-budget selector, with selector_calls <= 1 (0 when
+/// the target already wins seedless).
+MinSeedResult MinSeedsToWinSinglePass(
+    const ScoreEvaluator& evaluator, const PrefixSelector& selector,
+    uint32_t k_max = 0, CheckSchedule schedule = CheckSchedule::kEveryPrefix);
 
 /// True when the target's score strictly exceeds every competitor's score
-/// under the given seed set.
+/// under the given seed set. Free for the empty set (the evaluator's
+/// cached no-seed row); one exact propagation otherwise.
 bool TargetWins(const ScoreEvaluator& evaluator,
                 const std::vector<graph::NodeId>& seeds);
 

@@ -25,7 +25,10 @@ WalkSet::WalkSet(const WalkSet& other)
       keep_alive_(other.keep_alive_),
       eff_len_(other.eff_len_),
       values_(other.values_),
-      est_sum_(other.est_sum_) {
+      est_sum_(other.est_sum_),
+      undo_(other.undo_),
+      undo_valid_(other.undo_valid_),
+      baseline_gains_(other.baseline_gains_) {
   if (adopted_) {
     frozen_ = other.frozen_;  // shared immutable storage, pinned above
   } else if (finalized_) {
@@ -160,6 +163,27 @@ void WalkSet::ResetValues(const std::vector<double>& initial_opinions) {
     values_[w] = initial_opinions[frozen_.nodes[end - 1]];
     est_sum_[frozen_.starts[w]] += values_[w];
   }
+  undo_.clear();
+  undo_valid_ = true;
+  baseline_gains_.clear();
+}
+
+std::optional<size_t> WalkSet::RestoreBaseline() {
+  if (!undo_valid_) return std::nullopt;
+  const size_t replayed = undo_.size();
+  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    eff_len_[it->walk] = it->eff_len;
+    values_[it->walk] = it->value;
+    est_sum_[frozen_.starts[it->walk]] = it->est_sum;
+  }
+  undo_.clear();
+  return replayed;
+}
+
+void WalkSet::set_baseline_gains(std::vector<double> gains) {
+  assert(at_baseline());
+  assert(gains.size() == num_nodes_);
+  baseline_gains_ = std::move(gains);
 }
 
 void WalkSet::SetStartWeight(graph::NodeId v, double weight) {
@@ -168,6 +192,7 @@ void WalkSet::SetStartWeight(graph::NodeId v, double weight) {
   // mmap) is immutable and the owned vector was released by AdoptFrozen.
   if (adopted_) return;
   start_weight_[v] = weight;
+  baseline_gains_.clear();
 }
 
 size_t WalkSet::memory_bytes() const {
@@ -176,19 +201,33 @@ size_t WalkSet::memory_bytes() const {
          f.starts.size_bytes() + f.lambda.size_bytes() +
          f.start_weight.size_bytes() + f.index_offsets.size_bytes() +
          f.index_entries.size_bytes() + eff_len_.size() * sizeof(uint32_t) +
-         values_.size() * sizeof(double) + est_sum_.size() * sizeof(double);
+         values_.size() * sizeof(double) + est_sum_.size() * sizeof(double) +
+         undo_.capacity() * sizeof(UndoEntry) +
+         baseline_gains_.size() * sizeof(double);
 }
 
 void WalkSet::Truncate(
     graph::NodeId w, const std::function<void(uint32_t, double)>& on_change) {
   assert(finalized_);
+  const size_t undo_bound = undo_log_bound();
   for (const Posting& posting : PostingsOf(w)) {
     if (posting.pos >= eff_len_[posting.walk]) continue;  // already cut
     const double old_value = values_[posting.walk];
+    const graph::NodeId start = frozen_.starts[posting.walk];
+    if (undo_valid_) {
+      if (undo_.size() < undo_bound) {
+        undo_.push_back({posting.walk, eff_len_[posting.walk], old_value,
+                         est_sum_[start]});
+      } else {
+        // Past the bound the next ResetValues is cheaper than a replay.
+        std::vector<UndoEntry>().swap(undo_);
+        undo_valid_ = false;
+      }
+    }
     eff_len_[posting.walk] = posting.pos + 1;
     if (old_value < 1.0) {
       values_[posting.walk] = 1.0;
-      est_sum_[frozen_.starts[posting.walk]] += 1.0 - old_value;
+      est_sum_[start] += 1.0 - old_value;
       on_change(posting.walk, old_value);
     }
   }

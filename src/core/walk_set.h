@@ -18,8 +18,12 @@
 //    owned memory (e.g. an mmap'd sketch file) without copying.
 //  * DYNAMIC state — per-walk values / effective lengths and per-node
 //    estimate sums under the current seed set. Always owned, mutated by
-//    Truncate, and rebuildable in O(total walk nodes) with ResetValues so
-//    one frozen sketch can serve many queries.
+//    Truncate, and rebuilt in O(num_walks) by ResetValues. ResetValues
+//    fixes a BASELINE (the no-seed state for one opinion vector); every
+//    Truncate after it records what it overwrites in a bounded undo log,
+//    and RestoreBaseline replays that log backwards, so returning to the
+//    baseline costs O(#walks the previous seeds truncated), not O(theta).
+//    That is how one frozen sketch serves many queries.
 //
 // Threading contract (docs/ARCHITECTURE.md): the frozen layer is immutable
 // after Finalize/AdoptFrozen and safe to read from any number of threads;
@@ -34,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -120,10 +125,46 @@ class WalkSet {
 
   /// (Re-)derives the dynamic state from `initial_opinions`, undoing every
   /// truncation in one O(num_walks) pass — far cheaper than regenerating
-  /// walks or rebuilding the index. Requires Finalize or AdoptFrozen; this
-  /// is how a persisted sketch is reused across queries (and across
-  /// updated campaign opinions).
+  /// walks or rebuilding the index. Requires Finalize or AdoptFrozen. The
+  /// result becomes the baseline RestoreBaseline returns to; the undo log
+  /// and the memoized baseline gains are cleared.
   void ResetValues(const std::vector<double>& initial_opinions);
+
+  /// Returns the dynamic state to the last ResetValues' baseline by
+  /// replaying the undo log in reverse: every logged value, effective
+  /// length and estimate sum is written back as saved (never recomputed),
+  /// so the result is byte-for-byte what ResetValues produced. Costs
+  /// O(logged entries) and returns how many were replayed. Returns
+  /// std::nullopt and changes nothing when there is no baseline to return
+  /// to: before the first ResetValues, or after the log outgrew
+  /// undo_log_bound() and was dropped — the caller then runs ResetValues.
+  std::optional<size_t> RestoreBaseline();
+
+  /// Most undo entries the log holds; one more drops it and frees its
+  /// memory. An entry replays three scattered writes where ResetValues
+  /// streams one pass over the walks, so replay stops paying well below
+  /// num_walks() entries: on tw8k (theta = 2^18, one Xeon core) a full
+  /// ResetValues takes 0.87 ms and a replay of 0.1 * theta entries 0.5 ms.
+  /// num_walks() / 16 keeps every replay cheaper than the reset and the log
+  /// (24 bytes an entry) at 1.5 bytes a walk, an eighth of the dynamic
+  /// state it restores.
+  size_t undo_log_bound() const { return num_walks() / 16; }
+
+  /// True when the dynamic state is the baseline: ResetValues or
+  /// RestoreBaseline ran and no Truncate changed a walk since.
+  bool at_baseline() const { return undo_valid_ && undo_.empty(); }
+
+  /// Round-0 cumulative marginal gains of every node on the baseline state
+  /// (EstimatedGreedySelect's CELF initial scan), memoized by the first
+  /// selection that starts from it. Empty unless at_baseline() and
+  /// memoized. ResetValues and SetStartWeight drop the memo; Truncate and
+  /// RestoreBaseline keep it, since the baseline it describes is unchanged.
+  std::span<const double> baseline_gains() const {
+    return at_baseline() ? std::span<const double>(baseline_gains_)
+                         : std::span<const double>();
+  }
+  /// Stores the baseline gains (one per node). Requires at_baseline().
+  void set_baseline_gains(std::vector<double> gains);
 
   // --- static shape -------------------------------------------------------
   uint32_t num_nodes() const { return num_nodes_; }
@@ -164,6 +205,9 @@ class WalkSet {
                        : est_sum_[v] / static_cast<double>(lambda);
   }
 
+  /// Sum of the current values of the walks starting at v.
+  double EstimateSum(graph::NodeId v) const { return est_sum_[v]; }
+
   /// Postings of node w (walks that contain w), grouped contiguously.
   std::span<const Posting> PostingsOf(graph::NodeId w) const {
     return frozen_.index_entries.subspan(
@@ -173,7 +217,8 @@ class WalkSet {
 
   /// Makes w a seed: truncates every walk containing w at w's first
   /// occurrence and sets its value to 1. `on_change(walk, old_value)` is
-  /// invoked for every walk whose value changed (old_value < 1).
+  /// invoked for every walk whose value changed (old_value < 1). Each
+  /// shortened walk is logged for RestoreBaseline first.
   void Truncate(graph::NodeId w,
                 const std::function<void(uint32_t, double)>& on_change);
 
@@ -182,6 +227,15 @@ class WalkSet {
   void FreezeOwned();
   /// Counting-sort construction of the first-occurrence inverted index.
   void BuildIndex();
+
+  /// One Truncate change as it was before it happened. The start node
+  /// whose estimate sum is saved is read back from the frozen layer.
+  struct UndoEntry {
+    uint32_t walk;
+    uint32_t eff_len;
+    double value;
+    double est_sum;
+  };
 
   uint32_t num_nodes_;
   bool finalized_ = false;
@@ -204,6 +258,11 @@ class WalkSet {
   std::vector<uint32_t> eff_len_;  // per-walk effective length
   std::vector<double> values_;     // per-walk current Y value
   std::vector<double> est_sum_;    // per-node sum of walk values
+  /// Changes since the baseline, oldest first; at most undo_log_bound().
+  std::vector<UndoEntry> undo_;
+  /// False before the first ResetValues and once the log was dropped.
+  bool undo_valid_ = false;
+  std::vector<double> baseline_gains_;  // see baseline_gains()
 };
 
 }  // namespace voteopt::core

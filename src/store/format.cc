@@ -1,10 +1,10 @@
 #include "store/format.h"
 
-#include <atomic>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+
+#include "util/atomic_file.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define VOTEOPT_STORE_HAVE_MMAP 1
@@ -105,45 +105,26 @@ Status WriteSectionFile(const std::string& path, FileKind kind,
   header.table_checksum =
       Fnv1a64(table.data(), table.size() * sizeof(SectionEntryDisk));
 
-  static std::atomic<uint64_t> temp_counter{0};
-#ifdef VOTEOPT_STORE_HAVE_MMAP
-  const long pid = static_cast<long>(::getpid());
-#else
-  const long pid = 0;
-#endif
-  const std::string temp = path + ".tmp" + std::to_string(pid) + "." +
-                           std::to_string(temp_counter.fetch_add(1));
-  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + temp + " for writing");
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(table.data()),
-            static_cast<std::streamsize>(table.size() *
-                                         sizeof(SectionEntryDisk)));
-  uint64_t written = payload_begin;
-  static constexpr char kPad[8] = {0};
-  // The gap between the table and the first (8-aligned) payload.
-  out.write(kPad, static_cast<std::streamsize>(
-                      payload_begin - table_begin -
-                      sections.size() * sizeof(SectionEntryDisk)));
-  for (size_t i = 0; i < sections.size(); ++i) {
-    out.write(static_cast<const char*>(sections[i].data),
-              static_cast<std::streamsize>(sections[i].size));
-    written += sections[i].size;
-    const uint64_t padded = Align8(written);
-    out.write(kPad, static_cast<std::streamsize>(padded - written));
-    written = padded;
-  }
-  // Close before the check: a buffered tail that fails at close (e.g.
-  // ENOSPC) must surface here, not be swallowed by the destructor.
-  out.close();
-  Status status = Status::OK();
-  if (!out) {
-    status = Status::IOError("write failed for " + path);
-  } else if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    status = Status::IOError("cannot rename " + temp + " to " + path);
-  }
-  if (!status.ok()) std::remove(temp.c_str());
-  return status;
+  return WriteFileAtomic(path, [&](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+    out.write(reinterpret_cast<const char*>(table.data()),
+              static_cast<std::streamsize>(table.size() *
+                                           sizeof(SectionEntryDisk)));
+    uint64_t written = payload_begin;
+    static constexpr char kPad[8] = {0};
+    // The gap between the table and the first (8-aligned) payload.
+    out.write(kPad, static_cast<std::streamsize>(
+                        payload_begin - table_begin -
+                        sections.size() * sizeof(SectionEntryDisk)));
+    for (size_t i = 0; i < sections.size(); ++i) {
+      out.write(static_cast<const char*>(sections[i].data),
+                static_cast<std::streamsize>(sections[i].size));
+      written += sections[i].size;
+      const uint64_t padded = Align8(written);
+      out.write(kPad, static_cast<std::streamsize>(padded - written));
+      written = padded;
+    }
+  });
 }
 
 MappedFile::~MappedFile() {

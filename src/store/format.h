@@ -63,11 +63,10 @@ SectionRef MakeSection(std::string name, std::span<const T> payload) {
 }
 
 /// Writes a complete store file. Purely a function of (kind, sections):
-/// identical inputs produce identical bytes. The bytes go to a unique temp
-/// sibling (`<path>.tmp<pid>.<n>`) that is renamed over `path`, so `path`
-/// holds either its previous file or the complete new one — never a torn
-/// write — and concurrent writers of one path never share a temp file. The
-/// temp file is removed on every failure.
+/// identical inputs produce identical bytes. The write goes through
+/// WriteFileAtomic (util/atomic_file.h), so `path` holds either its
+/// previous file or the complete new one — never a torn write — and no
+/// temp file survives a failure.
 Status WriteSectionFile(const std::string& path, FileKind kind,
                         const std::vector<SectionRef>& sections);
 

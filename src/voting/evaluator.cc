@@ -49,6 +49,8 @@ ScoreEvaluator::ScoreEvaluator(
 
 std::vector<double> ScoreEvaluator::TargetHorizonOpinions(
     const std::vector<graph::NodeId>& seeds) const {
+  // ApplySeeds with no seeds is a copy, so the cached row is bit-identical.
+  if (seeds.empty()) return horizon_opinions_[target_];
   return model().PropagateWithSeeds(state_->campaigns[target_], seeds,
                                     horizon_);
 }

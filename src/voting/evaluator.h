@@ -41,7 +41,8 @@ class ScoreEvaluator {
   /// steps, scores against the cached competitor rows. O(t m + n log r).
   double EvaluateSeeds(const std::vector<graph::NodeId>& seeds) const;
 
-  /// The target's exact horizon opinions under a seed set. O(t m).
+  /// The target's exact horizon opinions under a seed set. O(t m); the
+  /// empty set returns the cached no-seed row.
   std::vector<double> TargetHorizonOpinions(
       const std::vector<graph::NodeId>& seeds) const;
 

@@ -13,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
 #include "serve/protocol.h"
+#include "util/rng.h"
 
 namespace voteopt::api {
 namespace {
@@ -427,6 +429,106 @@ TEST_F(ApiEngineTest, HostBuildsIdenticalSketchThroughOocPath) {
     const Response b = (*ooc_engine)->Execute(request);
     EXPECT_EQ(strip_millis(a.ToJson()), strip_millis(b.ToJson()))
         << "request " << request.id;
+  }
+}
+
+TEST_F(ApiEngineTest, ReusedWorkerStateAnswersLikeAFreshEngine) {
+  // One single-worker engine answers a shuffled mix of selections under
+  // every rule, evaluates and one commit, all on one reused worker state:
+  // undo-log restores, memoized baseline gains, cached evaluators. A fresh
+  // engine per request has none of that history. Every answer must be the
+  // same bytes: a state's answers do not depend on what it answered before.
+  HostOptions host;
+  host.theta = 6000;
+  host.horizon = 8;
+  const uint32_t n = dataset_.influence.num_nodes();
+  voting::ScoreSpec papproval;
+  papproval.kind = voting::ScoreKind::kPApproval;
+  papproval.p = 2;
+
+  std::vector<Request> mix;
+  for (int copy = 0; copy < 2; ++copy) {
+    mix.push_back(Request::TopK(5, voting::ScoreSpec::Cumulative()));
+    mix.push_back(Request::TopK(12, voting::ScoreSpec::Cumulative()));
+    mix.push_back(Request::TopK(4, voting::ScoreSpec::Plurality()));
+    mix.push_back(Request::TopK(3, voting::ScoreSpec::Copeland()));
+    mix.push_back(Request::TopK(6, papproval));
+    Request borda = Request::TopK(5, voting::ScoreSpec::Plurality());
+    borda.rule = "borda";
+    mix.push_back(borda);
+    mix.push_back(Request::MinSeed(32, voting::ScoreSpec::Cumulative()));
+    mix.push_back(Request::MinSeed(0, voting::ScoreSpec::Plurality()));
+    mix.push_back(Request::Evaluate({1, 2, 3},
+                                    voting::ScoreSpec::Cumulative()));
+    mix.push_back(Request::Evaluate({4}, voting::ScoreSpec::Plurality()));
+  }
+  // Seeds every node: more truncations than the undo log holds.
+  mix.push_back(Request::TopK(n, voting::ScoreSpec::Cumulative()));
+  Rng rng(2024);
+  rng.Shuffle(&mix);
+  mix.insert(mix.begin() + static_cast<ptrdiff_t>(mix.size() / 2),
+             Request::Mutate({dyn::Mutation::EdgeAdd(0, 5, 1.0),
+                              dyn::Mutation::SetOpinion(
+                                  dataset_.default_target, 7, 0.95)}));
+  for (size_t i = 0; i < mix.size(); ++i) {
+    mix[i].id = "r";
+    mix[i].id += std::to_string(i);
+    mix[i].trace = true;  // a side channel: ToStableJson strips it
+  }
+
+  auto reused = Engine::Open({});
+  ASSERT_TRUE(reused.ok());
+  ASSERT_TRUE((*reused)->Host("mem", dataset_, host).ok());
+  uint32_t restores = 0, full_resets = 0;
+  for (size_t i = 0; i < mix.size(); ++i) {
+    const Response answer = (*reused)->Execute(mix[i]);
+    ASSERT_TRUE(answer.ok) << answer.error;
+    if (const auto it = answer.diagnostics.find("work.walks_restored");
+        it != answer.diagnostics.end()) {
+      ++(it->second < host.theta ? restores : full_resets);
+    }
+
+    auto fresh = Engine::Open({});
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE((*fresh)->Host("mem", dataset_, host).ok());
+    for (size_t j = 0; j < i; ++j) {
+      if (mix[j].op == Request::Op::kMutate) (*fresh)->Execute(mix[j]);
+    }
+    EXPECT_EQ(answer.ToStableJson(), (*fresh)->Execute(mix[i]).ToStableJson())
+        << "request " << i << " (" << OpName(mix[i].op) << ")";
+  }
+  // The mix exercised both reset paths: undo-log restores, and full
+  // resets (first selection per state, and after the log overflowed).
+  EXPECT_GT(restores, 0u);
+  EXPECT_GE(full_resets, 2u);
+}
+
+TEST_F(ApiEngineTest, MinSeedCheckScheduleFollowsTheSelector) {
+  // A lazy cumulative round is cheap next to an exact winning check, so
+  // that minseed gallops (O(log k*) checks); a plurality or Copeland round
+  // scans every candidate, so those check every prefix and stop at k*.
+  auto engine = Engine::Open({});
+  ASSERT_TRUE(engine.ok());
+  HostOptions host;
+  host.theta = 8000;
+  host.horizon = 8;
+  ASSERT_TRUE((*engine)->Host("mem", dataset_, host).ok());
+  for (const voting::ScoreSpec& spec :
+       {voting::ScoreSpec::Cumulative(), voting::ScoreSpec::Plurality(),
+        voting::ScoreSpec::Copeland()}) {
+    Request request = Request::MinSeed(0, spec);
+    request.trace = true;
+    const Response answer = (*engine)->Execute(request);
+    const std::string rule = voting::ScoreKindName(spec.kind);
+    ASSERT_TRUE(answer.ok) << rule << ": " << answer.error;
+    ASSERT_TRUE(answer.achievable) << rule;
+    ASSERT_GT(answer.k_star, 4u) << rule;
+    const double checks = answer.diagnostics.at("work.target_wins_checks");
+    if (spec.kind == voting::ScoreKind::kCumulative) {
+      EXPECT_LE(checks, 2 * std::bit_width(answer.k_star) + 1) << rule;
+    } else {
+      EXPECT_EQ(checks, answer.k_star) << rule;
+    }
   }
 }
 

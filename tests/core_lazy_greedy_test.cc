@@ -5,6 +5,8 @@
 // deterministic (gain, node id) ordering keeps the paths aligned.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
 #include "core/walk_engine.h"
@@ -153,12 +155,13 @@ TEST(LazyGreedyTest, TieBreakPicksLowestNodeId) {
 TEST(LazyGreedyTest, MatchesOnRSSketchWeights) {
   // Sketch-built walk sets carry non-uniform start weights; the lazy path
   // must agree with the exhaustive one there too.
-  auto inst = MakeRandomInstance(48, 260, 2, 17);
+  // Enough nodes that ten seeds stay within the undo log's bound.
+  auto inst = MakeRandomInstance(2000, 10000, 2, 17);
   opinion::FJModel model(inst.graph);
   ScoreEvaluator ev(model, inst.state, 0, 5, voting::ScoreSpec::Cumulative());
   SketchBuildOptions build;
   build.num_threads = 2;
-  const auto sketch = BuildSketchSet(ev, 4000, /*master_seed=*/9, build);
+  const auto sketch = BuildSketchSet(ev, 16000, /*master_seed=*/9, build);
   const SelectionResult exhaustive = Select(ev, 12, *sketch, false, 1);
   const SelectionResult lazy = Select(ev, 12, *sketch, true, 1);
   EXPECT_EQ(lazy.seeds, exhaustive.seeds);
@@ -166,6 +169,59 @@ TEST(LazyGreedyTest, MatchesOnRSSketchWeights) {
                    exhaustive.diagnostics.at("estimated_score"));
   EXPECT_LT(lazy.diagnostics.at("gain_evaluations"),
             exhaustive.diagnostics.at("gain_evaluations"));
+}
+
+TEST(LazyGreedyTest, MemoizedBaselineGainsMatchColdSelection) {
+  // A worker state serves selection after selection on one sketch: the
+  // first one memoizes its round-0 gains on the baseline, every later one
+  // (after an undo-log restore) seeds its heap from them. Seeds, scores and
+  // the gain vector itself must equal a cold selection's bit for bit.
+  // Enough nodes that ten seeds stay within the undo log's bound.
+  auto inst = MakeRandomInstance(2000, 10000, 2, 17);
+  opinion::FJModel model(inst.graph);
+  ScoreEvaluator ev(model, inst.state, 0, 5, voting::ScoreSpec::Cumulative());
+  SketchBuildOptions build;
+  build.num_threads = 2;
+  const auto sketch = BuildSketchSet(ev, 16000, /*master_seed=*/9, build);
+  const std::vector<double>& opinions = ev.target_campaign().initial_opinions;
+  const uint32_t n = sketch->num_nodes();
+  EstimatedGreedyOptions options;
+  options.evaluate_exact = false;
+
+  WalkSet warm = *sketch;
+  EstimatedGreedySelect(ev, 3, &warm, options);  // memoizes the gains
+  for (const uint32_t k : {1u, 10u, n}) {
+    WalkSet cold = *sketch;
+    cold.ResetValues(opinions);  // drops any memo: a full round-0 scan
+    const SelectionResult expected =
+        EstimatedGreedySelect(ev, k, &cold, options);
+
+    ASSERT_TRUE(warm.RestoreBaseline().has_value()) << "k " << k;
+    ASSERT_EQ(warm.baseline_gains().size(), n);
+    const SelectionResult memoized =
+        EstimatedGreedySelect(ev, k, &warm, options);
+
+    EXPECT_EQ(memoized.seeds, expected.seeds) << "k " << k;
+    const double a = memoized.diagnostics.at("estimated_score");
+    const double b = expected.diagnostics.at("estimated_score");
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "k " << k;
+    // The memo replaced exactly the n round-0 evaluations.
+    EXPECT_EQ(memoized.diagnostics.at("gain_evaluations") + n,
+              expected.diagnostics.at("gain_evaluations"))
+        << "k " << k;
+
+    // The cold run memoized the same vector on its own baseline (k = n
+    // may outgrow the undo log, which then cannot restore).
+    if (k < n) {
+      ASSERT_TRUE(cold.RestoreBaseline().has_value());
+      ASSERT_TRUE(warm.RestoreBaseline().has_value());
+      ASSERT_EQ(cold.baseline_gains().size(), n);
+      EXPECT_EQ(std::memcmp(warm.baseline_gains().data(),
+                            cold.baseline_gains().data(), n * sizeof(double)),
+                0)
+          << "k " << k;
+    }
+  }
 }
 
 TEST(LazyGreedyTest, OnPrefixStopsSelectionEarly) {

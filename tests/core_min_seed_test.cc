@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "core/estimated_greedy.h"
 #include "core/greedy_dm.h"
@@ -191,16 +197,19 @@ TEST(MinSeedsTest, SinglePassMatchesBinarySearch) {
 
       const MinSeedResult searched =
           MinSeedsToWin(ev, substrate.BudgetSelector());
-      const MinSeedResult single =
-          MinSeedsToWinSinglePass(ev, substrate.SinglePassSelector());
-
-      EXPECT_EQ(single.achievable, searched.achievable)
-          << voting::ScoreKindName(kind) << " seed " << seed;
-      EXPECT_EQ(single.k_star, searched.k_star)
-          << voting::ScoreKindName(kind) << " seed " << seed;
-      EXPECT_EQ(single.seeds, searched.seeds)
-          << voting::ScoreKindName(kind) << " seed " << seed;
-      EXPECT_LE(single.selector_calls, 1u);
+      for (const CheckSchedule schedule :
+           {CheckSchedule::kEveryPrefix, CheckSchedule::kGalloping}) {
+        const MinSeedResult single = MinSeedsToWinSinglePass(
+            ev, substrate.SinglePassSelector(), /*k_max=*/0, schedule);
+        const std::string where = voting::ScoreKindName(kind) + " seed " +
+                                  std::to_string(seed) + " galloping " +
+                                  std::to_string(schedule ==
+                                                 CheckSchedule::kGalloping);
+        EXPECT_EQ(single.achievable, searched.achievable) << where;
+        EXPECT_EQ(single.k_star, searched.k_star) << where;
+        EXPECT_EQ(single.seeds, searched.seeds) << where;
+        EXPECT_LE(single.selector_calls, 1u) << where;
+      }
       if (searched.achievable && searched.k_star > 0) {
         ++covered_achievable;
         EXPECT_GE(searched.selector_calls, 2u);  // the path being replaced
@@ -238,6 +247,190 @@ TEST(MinSeedsTest, SinglePassUnachievableReportsExhaustedBudget) {
   EXPECT_FALSE(result.achievable);
   EXPECT_EQ(result.k_star, 8u);
   EXPECT_EQ(result.selector_calls, 1u);
+}
+
+TEST(TargetWinsTest, SeedlessRowIsTheCachedHorizonRow) {
+  // The no-seed check reads the evaluator's cached row instead of
+  // propagating; it must be the very bytes a propagation would produce.
+  auto inst = MakeRandomInstance(40, 220, 3, 131, /*max_stubbornness=*/0.6);
+  opinion::FJModel model(inst.graph);
+  ScoreEvaluator ev(model, inst.state, 1, 7, voting::ScoreSpec::Plurality());
+  const std::vector<double> cached = ev.TargetHorizonOpinions({});
+  const std::vector<double> propagated =
+      model.PropagateWithSeeds(inst.state.campaigns[1], {}, 7);
+  ASSERT_EQ(cached.size(), propagated.size());
+  EXPECT_EQ(std::memcmp(cached.data(), propagated.data(),
+                        cached.size() * sizeof(double)),
+            0);
+}
+
+/// n isolated users and two candidates. The competitor holds 0.5 at every
+/// user; the target holds 0.9 at the last `favorable` users and 0.1
+/// elsewhere. With no edges a seed changes only its own user, so the
+/// winning predicate is monotone along any seed order and `favorable`
+/// moves k* across a wide range.
+test::RandomInstance IsolatedUsers(uint32_t n, uint32_t favorable) {
+  graph::GraphBuilder builder(n);
+  auto built = builder.Build();
+  EXPECT_TRUE(built.ok());
+  test::RandomInstance inst;
+  inst.graph = std::move(built).value();
+  inst.state.campaigns.resize(2);
+  for (uint32_t v = 0; v < n; ++v) {
+    inst.state.campaigns[0].initial_opinions.push_back(
+        v + favorable >= n ? 0.9 : 0.1);
+    inst.state.campaigns[0].stubbornness.push_back(0.5);
+    inst.state.campaigns[1].initial_opinions.push_back(0.5);
+    inst.state.campaigns[1].stubbornness.push_back(0.5);
+  }
+  return inst;
+}
+
+/// A prefix-nested selector that seeds users 0, 1, 2, ... in id order.
+SelectionResult SelectInIdOrder(const ScoreEvaluator&, uint32_t k,
+                                const PrefixCallback& on_prefix) {
+  SelectionResult result;
+  for (graph::NodeId v = 0; v < k; ++v) {
+    result.seeds.push_back(v);
+    if (on_prefix(v + 1, result.seeds)) break;
+  }
+  return result;
+}
+
+/// Like SelectInIdOrder, but with only ten candidates: the selection ends
+/// at prefix 10 whatever the budget, which is no galloping checkpoint.
+SelectionResult SelectFirstTen(const ScoreEvaluator& ev, uint32_t k,
+                               const PrefixCallback& on_prefix) {
+  return SelectInIdOrder(ev, std::min(k, 10u), on_prefix);
+}
+
+/// The every-prefix scan the galloping driver replaces: one selection at
+/// the full budget, TargetWins on every prefix, first winner wins.
+MinSeedResult EveryPrefixOracle(const ScoreEvaluator& ev,
+                                const PrefixSelector& selector,
+                                uint32_t k_max) {
+  MinSeedResult result;
+  if (TargetWins(ev, {})) {
+    result.achievable = true;
+    return result;
+  }
+  const uint32_t n = ev.num_users();
+  const uint32_t upper = (k_max == 0 || k_max > n) ? n : k_max;
+  std::vector<std::vector<graph::NodeId>> prefixes;
+  SelectionResult full =
+      selector(ev, upper, [&](uint32_t, const std::vector<graph::NodeId>& p) {
+        prefixes.push_back(p);
+        return false;
+      });
+  result.selector_calls = 1;
+  for (const auto& prefix : prefixes) {
+    if (TargetWins(ev, prefix)) {
+      result.achievable = true;
+      result.k_star = static_cast<uint32_t>(prefix.size());
+      result.seeds = prefix;
+      return result;
+    }
+  }
+  result.k_star = upper;
+  result.seeds = std::move(full.seeds);
+  return result;
+}
+
+/// Checks MinSeedsToWinSinglePass under both schedules against the
+/// every-prefix oracle; returns the oracle's answer.
+MinSeedResult ExpectSchedulesMatchOracle(const ScoreEvaluator& ev,
+                                         const PrefixSelector& selector,
+                                         uint32_t k_max,
+                                         const std::string& where) {
+  const MinSeedResult expected = EveryPrefixOracle(ev, selector, k_max);
+  for (const CheckSchedule schedule :
+       {CheckSchedule::kEveryPrefix, CheckSchedule::kGalloping}) {
+    const bool galloping = schedule == CheckSchedule::kGalloping;
+    const std::string at =
+        where + (galloping ? " galloping" : " every prefix");
+    const MinSeedResult result =
+        MinSeedsToWinSinglePass(ev, selector, k_max, schedule);
+    EXPECT_EQ(result.achievable, expected.achievable) << at;
+    EXPECT_EQ(result.k_star, expected.k_star) << at;
+    EXPECT_EQ(result.seeds, expected.seeds) << at;
+    EXPECT_LE(result.selector_calls, 1u) << at;
+    if (!expected.achievable || expected.k_star == 0) continue;
+    if (galloping) {
+      // Checkpoints 1, 2, 4, ... up to 2k*, then a bisection of the last
+      // gap: O(log k*) exact checks.
+      EXPECT_LE(result.target_wins_checks,
+                2 * std::bit_width(expected.k_star) + 1)
+          << at;
+    } else {
+      // One check per prefix, and the selection stops at k*.
+      EXPECT_EQ(result.target_wins_checks, expected.k_star) << at;
+    }
+  }
+  return expected;
+}
+
+TEST(MinSeedsTest, SchedulesMatchEveryPrefixOracle) {
+  constexpr uint32_t kUsers = 24;
+  for (const auto kind :
+       {voting::ScoreKind::kCumulative, voting::ScoreKind::kPlurality,
+        voting::ScoreKind::kCopeland}) {
+    voting::ScoreSpec spec;
+    spec.kind = kind;
+    std::set<uint32_t> achieved;
+    uint32_t unachievable = 0;
+    for (uint32_t favorable = 0; favorable <= 14; ++favorable) {
+      const auto inst = IsolatedUsers(kUsers, favorable);
+      opinion::FJModel model(inst.graph);
+      ScoreEvaluator ev(model, inst.state, 0, 3, spec);
+      for (const auto& [selector, k_max] :
+           std::vector<std::pair<PrefixSelector, uint32_t>>{
+               {SelectInIdOrder, 0},
+               {SelectInIdOrder, 3},
+               {SelectInIdOrder, 8},
+               {SelectInIdOrder, 9},
+               {SelectFirstTen, 0}}) {
+        const MinSeedResult expected = ExpectSchedulesMatchOracle(
+            ev, selector, k_max,
+            voting::ScoreKindName(kind) + " favorable " +
+                std::to_string(favorable) + " k_max " +
+                std::to_string(k_max));
+        if (expected.achievable) {
+          achieved.insert(expected.k_star);
+        } else {
+          ++unachievable;
+        }
+      }
+    }
+    for (const uint32_t k_star : {0u, 1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
+      EXPECT_EQ(achieved.count(k_star), 1u)
+          << voting::ScoreKindName(kind) << " never reached k* " << k_star;
+    }
+    EXPECT_GT(unachievable, 0u) << voting::ScoreKindName(kind);
+  }
+}
+
+TEST(MinSeedsTest, SchedulesMatchEveryPrefixOracleOnSketchGreedy) {
+  // Connected random instances and the sketch greedy itself, so seeds
+  // interact through the propagation: the case where galloping leans on
+  // the assumed monotone winning predicate.
+  uint32_t covered_achievable = 0;
+  for (const uint64_t seed : {301u, 307u, 311u, 313u, 317u, 331u}) {
+    auto inst = MakeRandomInstance(40, 240, 3, seed);
+    opinion::FJModel model(inst.graph);
+    for (const auto kind :
+         {voting::ScoreKind::kCumulative, voting::ScoreKind::kPlurality,
+          voting::ScoreKind::kCopeland}) {
+      voting::ScoreSpec spec;
+      spec.kind = kind;
+      ScoreEvaluator ev(model, inst.state, 0, 4, spec);
+      SketchSubstrate substrate(ev, /*theta=*/4096, /*master_seed=*/seed);
+      const MinSeedResult expected = ExpectSchedulesMatchOracle(
+          ev, substrate.SinglePassSelector(), /*k_max=*/0,
+          voting::ScoreKindName(kind) + " seed " + std::to_string(seed));
+      covered_achievable += expected.achievable && expected.k_star > 1;
+    }
+  }
+  EXPECT_GT(covered_achievable, 3u);
 }
 
 }  // namespace

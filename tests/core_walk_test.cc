@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <optional>
 
 #include "core/accuracy.h"
 #include "core/estimated_greedy.h"
 #include "core/greedy_dm.h"
 #include "core/rw_greedy.h"
+#include "core/sketch.h"
 #include "core/walk_engine.h"
 #include "core/walk_set.h"
 #include "graph/alias_table.h"
@@ -132,6 +136,148 @@ TEST(WalkSetTest, TruncationAtStartPosition) {
   walks.Truncate(1, [](uint32_t, double) {});
   EXPECT_EQ(walks.EffectiveLen(0), 1u);
   EXPECT_DOUBLE_EQ(walks.Value(0), 1.0);  // seeding the start itself
+}
+
+// ---------------------------------------------------------------------------
+// Undo-log restore to the ResetValues baseline.
+// ---------------------------------------------------------------------------
+
+/// Every dynamic field of `a` and `b`, compared as raw bytes.
+void ExpectSameDynamicState(const WalkSet& a, const WalkSet& b) {
+  ASSERT_EQ(a.num_walks(), b.num_walks());
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  std::vector<uint32_t> len_a, len_b;
+  std::vector<double> value_a, value_b, sum_a, sum_b;
+  for (uint32_t w = 0; w < a.num_walks(); ++w) {
+    len_a.push_back(a.EffectiveLen(w));
+    len_b.push_back(b.EffectiveLen(w));
+    value_a.push_back(a.Value(w));
+    value_b.push_back(b.Value(w));
+  }
+  for (graph::NodeId v = 0; v < a.num_nodes(); ++v) {
+    sum_a.push_back(a.EstimateSum(v));
+    sum_b.push_back(b.EstimateSum(v));
+  }
+  EXPECT_EQ(std::memcmp(len_a.data(), len_b.data(),
+                        len_a.size() * sizeof(uint32_t)), 0);
+  EXPECT_EQ(std::memcmp(value_a.data(), value_b.data(),
+                        value_a.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(sum_a.data(), sum_b.data(),
+                        sum_a.size() * sizeof(double)), 0);
+}
+
+/// The walk changes Truncate(v) would log now: v's postings not yet cut.
+size_t PendingChanges(const WalkSet& walks, graph::NodeId v) {
+  size_t changes = 0;
+  for (const WalkSet::Posting& posting : walks.PostingsOf(v)) {
+    changes += posting.pos < walks.EffectiveLen(posting.walk);
+  }
+  return changes;
+}
+
+struct RestoreFixture {
+  test::RandomInstance inst = MakeRandomInstance(400, 2400, 2, 601, 0.6);
+  opinion::FJModel model{inst.graph};
+  ScoreEvaluator ev{model, inst.state, 0, 6, voting::ScoreSpec::Cumulative()};
+  const std::vector<double>& opinions = ev.target_campaign().initial_opinions;
+  std::unique_ptr<WalkSet> walks;
+  WalkSet fresh{1};
+
+  RestoreFixture() {
+    SketchBuildOptions build;
+    build.num_threads = 1;
+    walks = BuildSketchSet(ev, 8000, /*master_seed=*/11, build);
+    fresh = *walks;
+    fresh.ResetValues(opinions);
+  }
+};
+
+TEST(WalkSetRestoreTest, RandomTruncationsRestoreToTheFreshReset) {
+  RestoreFixture f;
+  const uint32_t n = f.walks->num_nodes();
+  const size_t bound = f.walks->undo_log_bound();
+  ASSERT_GT(bound, 0u);
+  Rng rng(5);
+  size_t restored_rounds = 0;
+  for (int round = 0; round < 30; ++round) {
+    // Random seeds, as many as fit in the log.
+    size_t logged = 0;
+    const auto count = static_cast<uint32_t>(1 + rng.UniformInt(8));
+    for (uint32_t i = 0; i < count; ++i) {
+      const auto v = static_cast<graph::NodeId>(rng.UniformInt(n));
+      const size_t changes = PendingChanges(*f.walks, v);
+      if (logged + changes > bound) continue;
+      f.walks->Truncate(v, [](uint32_t, double) {});
+      logged += changes;
+    }
+    EXPECT_EQ(f.walks->at_baseline(), logged == 0);
+    const std::optional<size_t> replayed = f.walks->RestoreBaseline();
+    ASSERT_TRUE(replayed.has_value()) << "round " << round;
+    EXPECT_EQ(*replayed, logged);
+    restored_rounds += logged > 0;
+    EXPECT_TRUE(f.walks->at_baseline());
+    ExpectSameDynamicState(*f.walks, f.fresh);
+  }
+  EXPECT_GT(restored_rounds, 20u);
+  // Nothing to undo: a restore on the baseline replays no entry.
+  EXPECT_EQ(f.walks->RestoreBaseline(), std::optional<size_t>(0));
+}
+
+TEST(WalkSetRestoreTest, LogPastItsBoundFallsBackToResetValues) {
+  RestoreFixture f;
+  const uint32_t n = f.walks->num_nodes();
+  // Seeding every node in a shuffled order shortens walks repeatedly: far
+  // more changes than the log's bound.
+  std::vector<graph::NodeId> order(n);
+  for (graph::NodeId v = 0; v < n; ++v) order[v] = v;
+  Rng rng(9);
+  rng.Shuffle(&order);
+  size_t changes = 0;
+  for (const graph::NodeId v : order) {
+    changes += PendingChanges(*f.walks, v);
+    f.walks->Truncate(v, [](uint32_t, double) {});
+  }
+  ASSERT_GT(changes, f.walks->undo_log_bound());
+
+  // The dropped log cannot restore; the state is left as it was, and the
+  // log's memory is released.
+  const WalkSet before = *f.walks;
+  EXPECT_FALSE(f.walks->RestoreBaseline().has_value());
+  EXPECT_FALSE(f.walks->at_baseline());
+  ExpectSameDynamicState(*f.walks, before);
+  EXPECT_EQ(f.walks->memory_bytes(), f.fresh.memory_bytes());
+
+  // The fallback ResetValues re-arms the log.
+  f.walks->ResetValues(f.opinions);
+  ExpectSameDynamicState(*f.walks, f.fresh);
+  f.walks->Truncate(order[0], [](uint32_t, double) {});
+  ASSERT_TRUE(f.walks->RestoreBaseline().has_value());
+  ExpectSameDynamicState(*f.walks, f.fresh);
+}
+
+TEST(WalkSetRestoreTest, NoBaselineBeforeTheFirstReset) {
+  RestoreFixture f;
+  std::shared_ptr<const WalkSet> owner = std::move(f.walks);
+  auto clone = owner->ShareFrozen(owner);
+  EXPECT_FALSE(clone->RestoreBaseline().has_value());
+  EXPECT_FALSE(clone->at_baseline());
+  clone->ResetValues(f.opinions);
+  EXPECT_TRUE(clone->at_baseline());
+  ExpectSameDynamicState(*clone, f.fresh);
+}
+
+TEST(WalkSetRestoreTest, BaselineGainsLiveOnlyAtTheBaseline) {
+  RestoreFixture f;
+  const uint32_t n = f.walks->num_nodes();
+  EXPECT_TRUE(f.walks->baseline_gains().empty());
+  f.walks->set_baseline_gains(std::vector<double>(n, 0.5));
+  EXPECT_EQ(f.walks->baseline_gains().size(), n);
+  f.walks->Truncate(0, [](uint32_t, double) {});
+  EXPECT_TRUE(f.walks->baseline_gains().empty());  // not at baseline
+  ASSERT_TRUE(f.walks->RestoreBaseline().has_value());
+  EXPECT_EQ(f.walks->baseline_gains().size(), n);  // same baseline again
+  f.walks->ResetValues(f.opinions);
+  EXPECT_TRUE(f.walks->baseline_gains().empty());  // a reset drops it
 }
 
 // ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@
 //       {"op": "rulesweep", "v": 2, "k": 10, "dataset": "dblp"}
 //       {"op": "list"}
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,6 +38,7 @@
 #include "datasets/synthetic.h"
 #include "net/server.h"
 #include "serve/protocol.h"
+#include "util/atomic_file.h"
 #include "util/options.h"
 #include "util/timer.h"
 
@@ -137,14 +137,7 @@ Observability (docs/OBSERVABILITY.md):
 
 /// Atomic metrics dump: a scraper never reads a torn file.
 bool DumpMetricsFile(const std::string& path, const std::string& text) {
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream file(tmp_path, std::ios::trunc);
-    if (!file) return false;
-    file << text;
-    if (!file) return false;
-  }
-  return std::rename(tmp_path.c_str(), path.c_str()) == 0;
+  return WriteFileAtomic(path, [&](std::ostream& out) { out << text; }).ok();
 }
 
 /// SIGINT/SIGTERM request a graceful network-server shutdown.
